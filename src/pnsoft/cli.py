@@ -76,18 +76,18 @@ def _set_table(s) -> str:
     return _table(headers, rows)
 
 
-def _matrix_table(m) -> str:
+def _matrix_table(m, separator) -> str:
     headers = [""] + list(m.columns)
     rows = []
     for label, row in zip(m.rows, m.entries):
-        name = label if isinstance(label, str) else "*".join(label)
+        name = label if isinstance(label, str) else separator.join(label)
         rows.append([name] + [_num(v) for v in row])
     return _table(headers, rows)
 
 
-def _matrix_doc(m) -> dict:
+def _matrix_doc(m, separator) -> dict:
     return {
-        "rows": ["*".join(r) if not isinstance(r, str) else r for r in m.rows],
+        "rows": [separator.join(r) if not isinstance(r, str) else r for r in m.rows],
         "columns": list(m.columns),
         "entries": [list(row) for row in m.entries],
     }
@@ -208,9 +208,9 @@ def _cmd_decide(args) -> int:
         doc = {
             "universe": list(report.universe),
             "product": to_document(to_pns_set(report.product, args.separator)),
-            "weighted_truth": _matrix_doc(report.weighted_truth),
-            "weighted_indeterminacy": _matrix_doc(report.weighted_indeterminacy),
-            "weighted_falsity": _matrix_doc(report.weighted_falsity),
+            "weighted_truth": _matrix_doc(report.weighted_truth, args.separator),
+            "weighted_indeterminacy": _matrix_doc(report.weighted_indeterminacy, args.separator),
+            "weighted_falsity": _matrix_doc(report.weighted_falsity, args.separator),
             "truth_scores": list(report.truth_scores),
             "indeterminacy_scores": list(report.indeterminacy_scores),
             "falsity_scores": list(report.falsity_scores),
@@ -226,7 +226,7 @@ def _cmd_decide(args) -> int:
                          ("weighted indeterminacy", report.weighted_indeterminacy),
                          ("weighted falsity", report.weighted_falsity)):
         print(f"\n{name}:")
-        print(_matrix_table(matrix))
+        print(_matrix_table(matrix, args.separator))
     print()
     scores = _table(
         [""] + list(report.universe),

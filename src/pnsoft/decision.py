@@ -47,12 +47,35 @@ def weighted_matrices(p: ProductPnsSet):
 
     Truth uses the probabilistic sum t + m - t*m so high possibility lifts
     the entry toward 1; indeterminacy and falsity just scale by m.
+    Each entry is computed once from the integer numerators and
+    denominators, and equal entries share one Fraction.
     """
+    blended, scaled = {}, {}   # (numerators, denominators) -> shared Fraction
+
+    def scale(x, mn, md):
+        key = (x.numerator, x.denominator, mn, md)
+        value = scaled.get(key)
+        if value is None:
+            value = scaled[key] = Fraction(key[0] * mn, key[1] * md)
+        return value
+
     wt, wi, wf = [], [], []
     for row in p.cells:
-        wt.append(tuple(c.triple.truth + c.mu - c.triple.truth * c.mu for c in row))
-        wi.append(tuple(c.triple.indeterminacy * c.mu for c in row))
-        wf.append(tuple(c.triple.falsity * c.mu for c in row))
+        rt, ri, rf = [], [], []
+        for c in row:
+            t, m = c.triple.truth, c.mu
+            tn, td, mn, md = t.numerator, t.denominator, m.numerator, m.denominator
+            key = (tn, td, mn, md)
+            value = blended.get(key)
+            if value is None:
+                value = blended[key] = Fraction(tn * md + mn * td - tn * mn, td * md)
+            rt.append(value)
+            ri.append(scale(c.triple.indeterminacy, mn, md))
+            rf.append(scale(c.triple.falsity, mn, md))
+        wt.append(tuple(rt))
+        wi.append(tuple(ri))
+        wf.append(tuple(rf))
+
     def matrix(entries):
         return WeightedMatrix(rows=p.pairs, columns=p.universe, entries=tuple(entries))
     return matrix(wt), matrix(wi), matrix(wf)

@@ -11,6 +11,7 @@ line per cell.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from fractions import Fraction
@@ -20,30 +21,44 @@ from .errors import SchemaError
 from .sets import PnsSet, validate
 
 
+@functools.lru_cache(maxsize=1024)
+def _decimal_scale(denominator: int):
+    """(scale, factor) with denominator * factor == 10**scale, scale minimal.
+
+    None when the denominator has a prime factor other than 2 and 5, so no
+    finite decimal exists. Bounded: a set holds few distinct denominators,
+    a hostile input cannot make the cache grow without limit.
+    """
+    rest, twos, fives = denominator, 0, 0
+    while rest % 2 == 0:
+        rest //= 2
+        twos += 1
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return None
+    scale = max(twos, fives)
+    return scale, 10 ** scale // denominator
+
+
 def decimal_string(value) -> str:
     """Exact decimal rendering of a rational when one exists.
 
     Denominators made of twos and fives print exactly (4/5 -> "0.8");
     anything else falls back to the float repr.
     """
-    fr = Fraction(value)
-    sign = "-" if fr < 0 else ""
-    fr = abs(fr)
-    den = fr.denominator
-    scale2 = scale5 = 0
-    while den % 2 == 0:
-        den //= 2
-        scale2 += 1
-    while den % 5 == 0:
-        den //= 5
-        scale5 += 1
-    if den != 1:
+    fr = value if isinstance(value, Fraction) else Fraction(value)
+    scaled = _decimal_scale(fr.denominator)
+    if scaled is None:
         return repr(float(value))
-    scale = max(scale2, scale5)
-    scaled = fr.numerator * 10 ** scale // fr.denominator
+    scale, factor = scaled
+    numerator = fr.numerator
+    sign = "-" if numerator < 0 else ""
+    digits = str(abs(numerator) * factor)
     if scale == 0:
-        return sign + str(scaled)
-    digits = str(scaled).rjust(scale + 1, "0")
+        return sign + digits
+    digits = digits.rjust(scale + 1, "0")
     whole, frac = digits[:-scale], digits[-scale:].rstrip("0")
     return sign + (whole + "." + frac if frac else whole)
 

@@ -38,40 +38,76 @@ def _require_same_universe(f: PnsSet, g: PnsSet):
             f"products need a shared universe; got {f.universe} vs {g.universe}")
 
 
-def _product(f, g, combine_triple, combine_mu):
+def _degrees(s: PnsSet):
+    """Each cell as four (degree, numerator, denominator) triples: t, i, f, mu.
+
+    Unpacked once per operand cell, so the P*P*U comparisons of a product
+    run on plain ints.
+    """
+    return [[tuple((x, x.numerator, x.denominator)
+                   for x in (c.triple.truth, c.triple.indeterminacy,
+                             c.triple.falsity, c.mu))
+             for c in row] for row in s.cells]
+
+
+def _lower(a, b):
+    # denominators are positive, so cross multiplication keeps the order
+    return a if a[1] * b[2] <= b[1] * a[2] else b
+
+
+def _higher(a, b):
+    return b if a[1] * b[2] <= b[1] * a[2] else a
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _trusted_cell(truth, indeterminacy, falsity, mu) -> PossValue:
+    """A cell built without the range checks of its constructors.
+
+    Only for degrees picked from operand cells, which were checked when
+    those cells were built; equal to, and hashing like, the checked cell.
+    """
+    triple = _new(NeutrosophicTriple)
+    _set(triple, "truth", truth)
+    _set(triple, "indeterminacy", indeterminacy)
+    _set(triple, "falsity", falsity)
+    cell = _new(PossValue)
+    _set(cell, "triple", triple)
+    _set(cell, "mu", mu)
+    return cell
+
+
+def _product(f, g, pick_truth, pick_other):
+    """Combine every parameter pair cellwise.
+
+    pick_truth chooses the truth and possibility degree of each cell,
+    pick_other its indeterminacy and falsity.
+    """
     _require_same_universe(f, g)
+    fd, gd = _degrees(f), _degrees(g)
     pairs = []
     rows = []
-    for k, fp in enumerate(f.parameters):
-        for l, gp in enumerate(g.parameters):
+    for fp, frow in zip(f.parameters, fd):
+        for gp, grow in zip(g.parameters, gd):
             pairs.append((fp, gp))
             rows.append(tuple(
-                PossValue(combine_triple(a.triple, b.triple), combine_mu(a.mu, b.mu))
-                for a, b in zip(f.cells[k], g.cells[l])
+                _trusted_cell(pick_truth(a[0], b[0])[0], pick_other(a[1], b[1])[0],
+                              pick_other(a[2], b[2])[0], pick_truth(a[3], b[3])[0])
+                for a, b in zip(frow, grow)
             ))
     return ProductPnsSet(pairs=tuple(pairs), universe=f.universe, cells=tuple(rows))
 
 
 def and_product(f: PnsSet, g: PnsSet) -> ProductPnsSet:
     """Pessimistic combination: min truth, max indeterminacy and falsity, min mu."""
-    return _product(
-        f, g,
-        lambda a, b: NeutrosophicTriple(min(a.truth, b.truth),
-                                        max(a.indeterminacy, b.indeterminacy),
-                                        max(a.falsity, b.falsity)),
-        min,
-    )
+    return _product(f, g, _lower, _higher)
 
 
 def or_product(f: PnsSet, g: PnsSet) -> ProductPnsSet:
     """Optimistic combination: max truth, min indeterminacy and falsity, max mu."""
-    return _product(
-        f, g,
-        lambda a, b: NeutrosophicTriple(max(a.truth, b.truth),
-                                        min(a.indeterminacy, b.indeterminacy),
-                                        min(a.falsity, b.falsity)),
-        max,
-    )
+    return _product(f, g, _higher, _lower)
 
 
 def to_pns_set(p: ProductPnsSet, separator: str = "*") -> PnsSet:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 import pnsoft
 from pnsoft import PnsSet
 
@@ -38,6 +40,35 @@ def random_pair(rng, n_params=None, n_elems=None):
     a = random_set(rng, n_params, n_elems)
     b = random_set(rng, len(a.parameters), len(a.universe))
     return a, b
+
+
+#: denominators the k/20 strategies never reach: thirds, sevenths, six
+#: decimals and large primes, next to 20 so that ties still come up
+MIXED_DENOMINATORS = (1, 2, 3, 7, 20, 10**6, 9973, 999983, 2**61 - 1)
+
+
+def mixed_degrees():
+    denominators = st.sampled_from(MIXED_DENOMINATORS) | st.integers(1, 10**4)
+    return denominators.flatmap(
+        lambda q: st.integers(0, q).map(lambda k: Fraction(k, q)))
+
+
+@st.composite
+def mixed_pairs(draw, max_params=3, max_elems=4):
+    """Two sets over one universe with mixed-denominator degrees.
+
+    The parameter counts are drawn independently, as products allow.
+    """
+    degree = mixed_degrees()
+    universe = [f"u{j + 1}" for j in range(draw(st.integers(1, max_elems)))]
+
+    def one_set():
+        params = [f"e{k + 1}" for k in range(draw(st.integers(1, max_params)))]
+        rows = [[tuple(draw(degree) for _ in range(4)) for _ in universe]
+                for _ in params]
+        return PnsSet.from_rows(params, universe, rows)
+
+    return one_set(), one_set()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -103,6 +103,22 @@ class TestDecide:
         assert doc["truth_scores"] == [1.18, 2.93, 2.68]
         assert len(doc["product"]["parameters"]) == 9
 
+    def test_separator_labels_every_matrix_in_the_table(self, capsys):
+        assert main(["decide", HOUSES_A, HOUSES_B, "--separator", "/"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # the product and the three weighted matrices each have an e2/e3 row
+        assert sum(line.startswith("e2/e3 ") for line in lines) == 4
+        assert not any(line.startswith("e2*e3") for line in lines)
+
+    def test_separator_labels_every_matrix_in_json(self, capsys):
+        assert main(["decide", HOUSES_A, HOUSES_B, "--separator", "/",
+                     "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        labels = doc["product"]["parameters"]
+        assert labels[5] == "e2/e3"
+        for name in ("weighted_truth", "weighted_indeterminacy", "weighted_falsity"):
+            assert doc[name]["rows"] == labels
+
 
 class TestSimilarity:
     def test_table(self, capsys):

@@ -15,7 +15,7 @@ from pnsoft import (
 )
 
 from _reference import brute_decide
-from conftest import load_fixture
+from conftest import load_fixture, mixed_pairs
 
 units = st.integers(0, 20).map(lambda k: Fraction(k, 20))
 
@@ -59,6 +59,20 @@ class TestWeightedMatrices:
                 assert 0 <= v <= 1
         for w in (wi, wf):
             assert all(0 <= v <= 1 for row in w.entries for v in row)
+
+    @settings(max_examples=50)
+    @given(pair=mixed_pairs())
+    def test_mixed_denominator_entries_follow_the_formulas(self, pair):
+        p = and_product(*pair)
+        wt, wi, wf = weighted_matrices(p)
+        for row, rt, ri, rf in zip(p.cells, wt.entries, wi.entries, wf.entries):
+            for c, vt, vi, vf in zip(row, rt, ri, rf):
+                t, i, fv, m = (c.triple.truth, c.triple.indeterminacy,
+                               c.triple.falsity, c.mu)
+                assert vt == t + m - t * m
+                assert vi == i * m
+                assert vf == fv * m
+                assert type(vt) is type(vi) is type(vf) is Fraction
 
 
 class TestRowScores:
@@ -123,11 +137,20 @@ class TestDecide:
     @settings(max_examples=60)
     @given(a=pns_sets(), b=pns_sets())
     def test_matches_the_longhand_oracle(self, a, b):
-        r = decide(a, b)
-        o = brute_decide(a, b)
-        for j, u in enumerate(r.universe):
-            assert r.truth_scores[j] == o["st"][u]
-            assert r.indeterminacy_scores[j] == o["si"][u]
-            assert r.falsity_scores[j] == o["sf"][u]
-            assert r.decision_scores[j] == o["ds"][u]
-        assert list(r.winners) == o["winners"]
+        assert_matches_oracle(a, b)
+
+    @settings(max_examples=50)
+    @given(pair=mixed_pairs())
+    def test_mixed_denominators_match_the_longhand_oracle(self, pair):
+        assert_matches_oracle(*pair)
+
+
+def assert_matches_oracle(a, b):
+    r = decide(a, b)
+    o = brute_decide(a, b)
+    for j, u in enumerate(r.universe):
+        assert r.truth_scores[j] == o["st"][u]
+        assert r.indeterminacy_scores[j] == o["si"][u]
+        assert r.falsity_scores[j] == o["sf"][u]
+        assert r.decision_scores[j] == o["ds"][u]
+    assert list(r.winners) == o["winners"]

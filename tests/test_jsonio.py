@@ -19,11 +19,35 @@ from pnsoft import (
     to_document,
     validate,
 )
-from pnsoft.jsonio import dumps_pns
+from pnsoft.jsonio import _decimal_scale, dumps_pns
 
 from conftest import FIXTURES, load_fixture
 
 units = st.integers(0, 20).map(lambda k: Fraction(k, 20))
+
+
+def longhand_decimal_string(value):
+    """decimal_string spelled out without any cache, factor by factor."""
+    fr = Fraction(value)
+    sign = "-" if fr < 0 else ""
+    fr = abs(fr)
+    den = fr.denominator
+    scale2 = scale5 = 0
+    while den % 2 == 0:
+        den //= 2
+        scale2 += 1
+    while den % 5 == 0:
+        den //= 5
+        scale5 += 1
+    if den != 1:
+        return repr(float(value))
+    scale = max(scale2, scale5)
+    scaled = fr.numerator * 10 ** scale // fr.denominator
+    if scale == 0:
+        return sign + str(scaled)
+    digits = str(scaled).rjust(scale + 1, "0")
+    whole, frac = digits[:-scale], digits[-scale:].rstrip("0")
+    return sign + (whole + "." + frac if frac else whole)
 
 
 @st.composite
@@ -50,6 +74,20 @@ class TestDecimalString:
         (Fraction(1, 200), "0.005"),
         (Fraction(-1, 2), "-0.5"),
         (Fraction(3, 1), "3"),
+        # twos and fives in unequal numbers
+        (Fraction(1, 40), "0.025"),
+        (Fraction(3, 1250), "0.0024"),
+        (Fraction(1, 1024), "0.0009765625"),
+        (Fraction(7, 3125), "0.00224"),
+        (Fraction(1, 2**20 * 5**3), "0.00000000762939453125"),
+        # negatives and integers above one
+        (Fraction(-7, 40), "-0.175"),
+        (Fraction(-3, 1), "-3"),
+        (Fraction(12), "12"),
+        (7, "7"),
+        (Fraction(1001, 8), "125.125"),
+        # a float is its exact binary value
+        (0.1, "0.1000000000000000055511151231257827021181583404541015625"),
     ])
     def test_exact_decimals(self, value, expect):
         assert decimal_string(value) == expect
@@ -57,6 +95,21 @@ class TestDecimalString:
     def test_non_decimal_falls_back_to_float_repr(self):
         assert decimal_string(Fraction(1, 3)) == "0.3333333333333333"
         assert decimal_string(Fraction(1, 7)) == repr(1 / 7)
+        assert decimal_string(Fraction(-1, 3)) == "-0.3333333333333333"
+        assert decimal_string(Fraction(-2, 7)) == "-0.2857142857142857"
+        assert decimal_string(Fraction(22, 7)) == "3.142857142857143"
+
+    def test_more_denominators_than_the_cache_holds(self):
+        size = _decimal_scale.cache_info().maxsize
+        denominators = [2**a * 5**b for a in range(40) for b in range(40)]
+        denominators += [3 * d for d in denominators[:300]] + list(range(1, 500))
+        assert len(set(denominators)) > size
+        for _ in range(2):  # the second pass meets evicted entries
+            for den in denominators:
+                for num in (1, den - 1, -(den + 3)):
+                    value = Fraction(num, den)
+                    assert decimal_string(value) == longhand_decimal_string(value), value
+        assert _decimal_scale.cache_info().currsize <= size
 
     @given(units)
     def test_decimal_strings_parse_back_exactly(self, x):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pnsoft import (
     IncompatibleError,
@@ -19,7 +19,7 @@ from pnsoft import (
 )
 
 from _reference import brute_and_product, brute_or_product
-from conftest import load_fixture
+from conftest import load_fixture, mixed_pairs
 
 units = st.integers(0, 20).map(lambda k: Fraction(k, 20))
 
@@ -149,3 +149,26 @@ class TestFlattening:
         b = null_set(["e1"], ["u2"])
         with pytest.raises(IncompatibleError, match="shared universe"):
             and_product(a, b)
+
+
+class TestMixedDenominators:
+    @settings(max_examples=50)
+    @given(pair=mixed_pairs())
+    def test_cells_match_the_oracle_and_public_cells(self, pair):
+        f, g = pair
+        for product, brute in ((and_product, brute_and_product),
+                               (or_product, brute_or_product)):
+            h = product(f, g)
+            want = brute(f, g)
+            got = {(a, b, u): (c.triple.truth, c.triple.indeterminacy,
+                               c.triple.falsity, c.mu)
+                   for (a, b), row in zip(h.pairs, h.cells)
+                   for u, c in zip(h.universe, row)}
+            assert got == want
+            for (a, b), row in zip(h.pairs, h.cells):
+                for u, c in zip(h.universe, row):
+                    t, i, fv, mu = want[(a, b, u)]
+                    built = PossValue(T(t, i, fv), mu)
+                    assert c == built and hash(c) == hash(built)
+                    assert c.triple == built.triple
+                    assert hash(c.triple) == hash(built.triple)
