@@ -14,8 +14,6 @@ from .algebra import (
     ZERO,
     NeutrosophicTriple,
     NormProfile,
-    apply_tconorm,
-    apply_tnorm,
     as_unit,
     check_profile,
     make_profile,
@@ -53,16 +51,13 @@ from .jsonio import (
 )
 from .products import ProductPnsSet, and_product, or_product, to_pns_set
 from .sets import (
-    PartMatrix,
     PnsSet,
     PossValue,
     complement,
-    decompose,
     equals,
     intersection,
     is_subset,
     null_set,
-    recompose,
     union,
     universal_set,
     validate,

@@ -15,17 +15,17 @@ from typing import Callable
 
 from .errors import ProfileError
 
-Unit = Fraction
-
 
 def _plain(value) -> str:
-    # error display only: echo 1.3 back as 1.3, not Fraction(13, 10)
+    # error display only: echo 1.3 back as 1.3, not Fraction(13, 10), and
+    # keep a hostile literal such as 1e5000 from flooding the message
     if isinstance(value, Fraction):
         try:
             return str(float(value))
         except OverflowError:
-            return str(value)
-    return repr(value)
+            return "-1e+308 or less" if value < 0 else "1e+308 or more"
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def as_unit(value, what: str = "value") -> Fraction:
@@ -52,13 +52,13 @@ def as_unit(value, what: str = "value") -> Fraction:
         try:
             out = Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{what} is not a number: {value!r}") from None
+            raise ValueError(f"{what} is not a number: {_plain(value)}") from None
     else:
         try:
             out = Fraction(value)
         except (TypeError, ValueError):
             raise ValueError(f"{what} has unsupported type {type(value).__name__}") from None
-    if out < 0 or out > 1:
+    if not 0 <= out.numerator <= out.denominator:  # denominators are positive
         raise ValueError(f"{what} must lie in [0, 1], got {_plain(value)}")
     return out
 
@@ -252,14 +252,6 @@ def make_profile(tnorm="min", tconorm="max", negation="standard",
     if check:
         check_profile(profile)
     return profile
-
-
-def apply_tnorm(profile: NormProfile, x, y) -> Fraction:
-    return as_unit(profile.tnorm(as_unit(x, "x"), as_unit(y, "y")), "tnorm result")
-
-
-def apply_tconorm(profile: NormProfile, x, y) -> Fraction:
-    return as_unit(profile.tconorm(as_unit(x, "x"), as_unit(y, "y")), "tconorm result")
 
 
 def n_norm(a: NeutrosophicTriple, b: NeutrosophicTriple,

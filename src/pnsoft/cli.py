@@ -9,43 +9,25 @@ Exit status: 0 on success, 1 on a domain error, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .algebra import NEGATIONS, TCONORMS, TNORMS, as_unit, make_profile
 from .decision import decide
-from .errors import PnsError
-from .jsonio import decimal_string, load_any, to_document
+from .errors import PnsError, SchemaError
+from .jsonio import _to_jsonable, decimal_string, load_any, to_document
 from .products import and_product, or_product, to_pns_set
-from .sets import complement, intersection, union, validate
+from .sets import complement, intersection, union
 from .similarity import select_by_similarity, similarity
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
-def _json_number(x) -> str:
-    return "%.6f" % float(x)
-
-
-def _to_jsonable(obj):
-    """Recursively dump to JSON text with fixed 6-place numbers."""
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, (float, Fraction)):
-        return _json_number(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_to_jsonable(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_to_jsonable(v) for v in obj) + "]"
-    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+def _json(doc) -> str:
+    """JSON text with every number fixed at six decimal places."""
+    return _to_jsonable(doc, lambda x: "%.6f" % float(x))
 
 
 def _num(x) -> str:
@@ -95,7 +77,7 @@ def _matrix_doc(m, separator) -> dict:
 
 def _emit_set(s, args) -> None:
     if args.format == "json":
-        print(_to_jsonable(to_document(s)))
+        print(_json(to_document(s)))
     else:
         print(_set_table(s))
 
@@ -140,48 +122,32 @@ def _profile(args):
 # commands
 
 def _cmd_validate(args) -> int:
-    report = {"files": []}
-    status = 0
+    files = []
     for path in args.files:
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            entry = {"path": str(path), "valid": False,
-                     "violations": [f"cannot read: {exc}"]}
-        else:
-            try:
-                doc = json.loads(text, parse_float=Fraction)
-            except json.JSONDecodeError as exc:
-                entry = {"path": str(path), "valid": False,
-                         "violations": [f"JSON parse error at line {exc.lineno}: {exc.msg}"]}
-            else:
-                violations = validate(doc) if isinstance(doc, dict) else \
-                    ["top level JSON value must be an object"]
-                entry = {"path": str(path), "valid": not violations,
-                         "violations": violations}
-        if not entry["valid"]:
-            status = 1
-        report["files"].append(entry)
+            load_any(path)
+            violations = []
+        except SchemaError as exc:
+            violations = exc.violations or [str(exc)]
+        files.append({"path": str(path), "valid": not violations,
+                      "violations": violations})
     if args.format == "json":
-        print(_to_jsonable(report))
+        print(_json({"files": files}))
     else:
-        for entry in report["files"]:
+        for entry in files:
             if entry["valid"]:
                 print(f"{entry['path']}: ok")
             else:
                 print(f"{entry['path']}: INVALID")
                 for v in entry["violations"]:
                     print(f"  - {v}")
-    return status
+    return 0 if all(entry["valid"] for entry in files) else 1
 
 
-def _cmd_union(args) -> int:
-    _emit_set(union(load_any(args.first), load_any(args.second), _profile(args)), args)
-    return 0
-
-
-def _cmd_intersect(args) -> int:
-    _emit_set(intersection(load_any(args.first), load_any(args.second), _profile(args)), args)
+def _cmd_combine(args) -> int:
+    """union or intersect, whichever the subcommand bound to args.combine."""
+    _emit_set(args.combine(load_any(args.first), load_any(args.second),
+                           _profile(args)), args)
     return 0
 
 
@@ -190,14 +156,9 @@ def _cmd_complement(args) -> int:
     return 0
 
 
-def _cmd_and_product(args) -> int:
-    product = and_product(load_any(args.first), load_any(args.second))
-    _emit_set(to_pns_set(product, args.separator), args)
-    return 0
-
-
-def _cmd_or_product(args) -> int:
-    product = or_product(load_any(args.first), load_any(args.second))
+def _cmd_product(args) -> int:
+    """and-product or or-product, whichever the subcommand bound to args.product."""
+    product = args.product(load_any(args.first), load_any(args.second))
     _emit_set(to_pns_set(product, args.separator), args)
     return 0
 
@@ -218,7 +179,7 @@ def _cmd_decide(args) -> int:
             "ranking": list(report.ranking),
             "winners": list(report.winners),
         }
-        print(_to_jsonable(doc))
+        print(_json(doc))
         return 0
     print("product:")
     print(_set_table(to_pns_set(report.product, args.separator)))
@@ -258,7 +219,7 @@ def _cmd_similarity(args) -> int:
     report = similarity(load_any(args.first), load_any(args.second),
                         p=args.p, threshold=args.threshold)
     if args.format == "json":
-        print(_to_jsonable(_similarity_doc(report)))
+        print(_json(_similarity_doc(report)))
         return 0
     rows = [[p, _num(v), _num(m)] for p, v, m in
             zip(report.parameters, report.value_components,
@@ -304,7 +265,7 @@ def _cmd_select(args) -> int:
             "p": report.p,
             "threshold": report.threshold,
         }
-        print(_to_jsonable(doc))
+        print(_json(doc))
     else:
         rows = []
         for c in report.candidates:
@@ -324,18 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="possibility neutrosophic soft set toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("validate", help="check files against the document schema")
+    s = sub.add_parser("validate", help="check JSON or CSV files, listing every violation")
     s.add_argument("files", nargs="+")
     _add_format(s)
     s.set_defaults(func=_cmd_validate)
 
-    for name, func in (("union", _cmd_union), ("intersect", _cmd_intersect)):
+    for name, combine in (("union", union), ("intersect", intersection)):
         s = sub.add_parser(name, help=f"{name} of two sets")
         s.add_argument("first")
         s.add_argument("second")
         _add_profile(s)
         _add_format(s)
-        s.set_defaults(func=func)
+        s.set_defaults(func=_cmd_combine, combine=combine)
 
     s = sub.add_parser("complement", help="complement of a set")
     s.add_argument("set")
@@ -343,15 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(s)
     s.set_defaults(func=_cmd_complement)
 
-    for name, func in (("and-product", _cmd_and_product),
-                       ("or-product", _cmd_or_product)):
+    for name, product in (("and-product", and_product), ("or-product", or_product)):
         s = sub.add_parser(name, help=f"{name.replace('-', ' ')} over parameter pairs")
         s.add_argument("first")
         s.add_argument("second")
         s.add_argument("--separator", default="*",
                        help="joins the two parameter labels (default: *)")
         _add_format(s)
-        s.set_defaults(func=func)
+        s.set_defaults(func=_cmd_product, product=product)
 
     s = sub.add_parser("decide", help="rank universe elements from two observations")
     s.add_argument("first")

@@ -14,11 +14,14 @@ import csv
 import functools
 import io
 import json
+import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+from .algebra import _plain
 from .errors import SchemaError
-from .sets import PnsSet, validate
+from .sets import PnsSet, _document_shape, _summary
 
 
 @functools.lru_cache(maxsize=1024)
@@ -29,14 +32,12 @@ def _decimal_scale(denominator: int):
     finite decimal exists. Bounded: a set holds few distinct denominators,
     a hostile input cannot make the cache grow without limit.
     """
-    rest, twos, fives = denominator, 0, 0
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
+    twos = (denominator & -denominator).bit_length() - 1
+    # the rest must be a power of five: estimate the exponent, confirm it
+    # with one exact power, O(log) big-int steps even for 1e-100000
+    rest = denominator >> twos
+    fives = round(math.log(rest, 5))
+    if 5 ** fives != rest:
         return None
     scale = max(twos, fives)
     return scale, 10 ** scale // denominator
@@ -55,7 +56,11 @@ def decimal_string(value) -> str:
     scale, factor = scaled
     numerator = fr.numerator
     sign = "-" if numerator < 0 else ""
-    digits = str(abs(numerator) * factor)
+    magnitude = abs(numerator) * factor
+    try:
+        digits = str(magnitude)
+    except ValueError:  # beyond the int-to-str digit limit, which Decimal lacks
+        digits = format(Decimal(magnitude), "f")
     if scale == 0:
         return sign + digits
     digits = digits.rjust(scale + 1, "0")
@@ -77,36 +82,48 @@ def to_document(s: PnsSet) -> dict:
 
 
 def from_document(doc) -> PnsSet:
-    """Validate a parsed document and build the set; all problems at once."""
-    violations = validate(doc)
+    """Check a parsed document and build the set; all problems at once."""
+    violations = _document_shape(doc)
     if violations:
         raise SchemaError(
             "invalid document: " + "; ".join(violations), violations=violations)
-    rows = [
-        [(c["t"], c["i"], c["f"], c["mu"]) for c in row]
-        for row in doc["cells"]
-    ]
-    return PnsSet.from_rows(doc["parameters"], doc["universe"], rows)
+    return PnsSet.from_rows(doc["parameters"], doc["universe"], doc["cells"])
+
+
+def _to_jsonable(obj, number) -> str:
+    """Recursively dump to JSON text; `number` renders Fractions and floats."""
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, (float, Fraction)):
+        return number(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_to_jsonable(v, number)}"
+                               for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_to_jsonable(v, number) for v in obj) + "]"
+    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
 def dumps_pns(doc, number=decimal_string) -> str:
-    """Serialize a document with full control over number formatting."""
-    out = ["{"]
-    out.append('  "parameters": ['
-               + ", ".join(json.dumps(p) for p in doc["parameters"]) + "],")
-    out.append('  "universe": ['
-               + ", ".join(json.dumps(u) for u in doc["universe"]) + "],")
-    out.append('  "cells": [')
+    """Serialize a document with full control over number formatting.
+
+    One line per label list and per matrix row, so diffs stay readable.
+    """
     last = len(doc["cells"]) - 1
-    for r, row in enumerate(doc["cells"]):
-        cells = ", ".join(
-            '{"t": %s, "i": %s, "f": %s, "mu": %s}'
-            % (number(c["t"]), number(c["i"]), number(c["f"]), number(c["mu"]))
-            for c in row)
-        out.append("    [" + cells + "]" + ("," if r < last else ""))
-    out.append("  ]")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    return "\n".join([
+        "{",
+        '  "parameters": ' + _to_jsonable(doc["parameters"], number) + ",",
+        '  "universe": ' + _to_jsonable(doc["universe"], number) + ",",
+        '  "cells": [',
+        *("    " + _to_jsonable(row, number) + ("," if r < last else "")
+          for r, row in enumerate(doc["cells"])),
+        "  ]",
+        "}",
+    ]) + "\n"
 
 
 def _reject_constant(name):
@@ -121,17 +138,24 @@ def loads_pns(text: str) -> PnsSet:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"JSON parse error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise SchemaError("JSON parse error: arrays or objects nested too deeply") from None
+    except ValueError:  # an integer literal beyond the int-to-str digit limit
+        raise SchemaError("JSON parse error: number literal too long") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level JSON value must be an object")
     return from_document(doc)
 
 
-def load_pns(path) -> PnsSet:
-    path = Path(path)
+def _read(path) -> str:
     try:
-        text = path.read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
+
+
+def load_pns(path) -> PnsSet:
+    text = _read(path)
     try:
         return loads_pns(text)
     except SchemaError as exc:
@@ -153,15 +177,11 @@ def load_csv(path) -> PnsSet:
     (parameter, element) pair must appear exactly once; label order follows
     first appearance.
     """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
-    return loads_csv(text, source=str(path))
+    return loads_csv(_read(path), source=str(path))
 
 
 def loads_csv(text: str, source: str = "<csv>") -> PnsSet:
+    text = text.removeprefix("\ufeff")  # byte order mark written by spreadsheets
     first = text.splitlines()[0] if text.splitlines() else ""
     delimiter = ";" if first.count(";") >= first.count(",") and ";" in first else ","
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
@@ -173,11 +193,12 @@ def loads_csv(text: str, source: str = "<csv>") -> PnsSet:
         raise SchemaError(
             f"{source}: header must be {', '.join(CSV_COLUMNS)}; got {', '.join(header)}")
     seen = {}
-    parameters, universe = [], []
+    parameters, universe, problems = [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(CSV_COLUMNS):
-            raise SchemaError(
-                f"{source}: line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+            problems.append(
+                f"line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+            continue
         p, u = row[0].strip(), row[1].strip()
         numbers = []
         for name, field in zip(CSV_COLUMNS[2:], row[2:]):
@@ -187,15 +208,18 @@ def loads_csv(text: str, source: str = "<csv>") -> PnsSet:
             try:
                 numbers.append(Fraction(field))
             except (ValueError, ZeroDivisionError):
-                raise SchemaError(
-                    f"{source}: line {lineno}: bad number for {name}: {field!r}") from None
+                problems.append(f"line {lineno}: bad number for {name} "
+                                f"in cell ({p}, {u}): {_plain(field)}")
         if (p, u) in seen:
-            raise SchemaError(f"{source}: line {lineno}: duplicate cell ({p}, {u})")
+            problems.append(f"line {lineno}: duplicate cell ({p}, {u})")
+            continue
         seen[(p, u)] = tuple(numbers)
         if p not in parameters:
             parameters.append(p)
         if u not in universe:
             universe.append(u)
+    if problems:
+        raise SchemaError(f"{source}: {_summary(problems)}", violations=problems)
     missing = [(p, u) for p in parameters for u in universe if (p, u) not in seen]
     if missing:
         where = ", ".join(f"({p}, {u})" for p, u in missing[:5])

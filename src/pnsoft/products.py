@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import NeutrosophicTriple
 from .errors import IncompatibleError
-from .sets import PnsSet, PossValue
+from .sets import PnsSet, _trusted_cell
 
 
 @dataclass(frozen=True)
@@ -57,26 +56,6 @@ def _lower(a, b):
 
 def _higher(a, b):
     return b if a[1] * b[2] <= b[1] * a[2] else a
-
-
-_new = object.__new__
-_set = object.__setattr__
-
-
-def _trusted_cell(truth, indeterminacy, falsity, mu) -> PossValue:
-    """A cell built without the range checks of its constructors.
-
-    Only for degrees picked from operand cells, which were checked when
-    those cells were built; equal to, and hashing like, the checked cell.
-    """
-    triple = _new(NeutrosophicTriple)
-    _set(triple, "truth", truth)
-    _set(triple, "indeterminacy", indeterminacy)
-    _set(triple, "falsity", falsity)
-    cell = _new(PossValue)
-    _set(cell, "triple", triple)
-    _set(cell, "mu", mu)
-    return cell
 
 
 def _product(f, g, pick_truth, pick_other):

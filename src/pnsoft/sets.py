@@ -55,36 +55,17 @@ class PnsSet:
         """Build a set from nested (t, i, f, mu) cells with full checking.
 
         `rows` is one sequence per parameter, each holding one cell per
-        universe element. A cell may be a PossValue, a (triple, mu) pair or
-        a flat (t, i, f, mu) tuple. Shape or range problems raise
-        SchemaError naming the offending coordinates.
+        universe element. A cell may be a PossValue, a (triple, mu) pair, a
+        flat (t, i, f, mu) tuple or a {"t", "i", "f", "mu"} mapping. Shape
+        or range problems raise one SchemaError listing every violation,
+        each naming the offending coordinates.
         """
         parameters = tuple(str(p) for p in parameters)
         universe = tuple(str(u) for u in universe)
-        if not parameters or not universe:
-            raise SchemaError("parameter and universe label lists must be non-empty")
-        if len(set(parameters)) != len(parameters):
-            raise SchemaError("duplicate parameter labels")
-        if len(set(universe)) != len(universe):
-            raise SchemaError("duplicate universe labels")
-        rows = list(rows)
-        if len(rows) != len(parameters):
-            raise SchemaError(
-                f"expected {len(parameters)} rows, got {len(rows)}")
-        matrix = []
-        for p, row in zip(parameters, rows):
-            row = list(row)
-            if len(row) != len(universe):
-                raise SchemaError(
-                    f"row {p!r}: expected {len(universe)} cells, got {len(row)}")
-            out_row = []
-            for u, cell in zip(universe, row):
-                try:
-                    out_row.append(_as_cell(cell))
-                except ValueError as exc:
-                    raise SchemaError(f"cell ({p}, {u}): {exc}") from None
-            matrix.append(tuple(out_row))
-        return cls(parameters=parameters, universe=universe, cells=tuple(matrix))
+        cells, violations = _build(parameters, universe, rows)
+        if violations:
+            raise SchemaError(_summary(violations), violations=violations)
+        return cls(parameters=parameters, universe=universe, cells=cells)
 
     def cell(self, parameter, element) -> PossValue:
         i = self.parameters.index(parameter)
@@ -96,16 +77,125 @@ class PnsSet:
         return (len(self.parameters), len(self.universe))
 
 
-def _as_cell(cell) -> PossValue:
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _trusted_cell(truth, indeterminacy, falsity, mu) -> PossValue:
+    """A cell built without the range checks of its constructors.
+
+    Only for degrees that are already checked Fractions: those `_build`
+    has just passed through as_unit, or those the products pick from
+    checked cells. Equal to, and hashing like, the checked cell.
+    """
+    triple = _new(NeutrosophicTriple)
+    _set(triple, "truth", truth)
+    _set(triple, "indeterminacy", indeterminacy)
+    _set(triple, "falsity", falsity)
+    cell = _new(PossValue)
+    _set(cell, "triple", triple)
+    _set(cell, "mu", mu)
+    return cell
+
+
+_FIELDS = ("t", "i", "f", "mu")
+_MISSING = object()
+
+
+def _summary(violations) -> str:
+    """One bounded message line; the exception carries the full list."""
+    text = "; ".join(violations[:5])
+    if len(violations) > 5:
+        text += f"; and {len(violations) - 5} more"
+    return text
+
+
+def _check_cell(cell):
+    """(checked cell, ()) for a well-formed raw cell, else (None, problems).
+
+    A cell is a PossValue, which its constructor checked, a {"t", "i",
+    "f", "mu"} mapping, a flat (t, i, f, mu) sequence or a ((t, i, f), mu)
+    pair.
+    """
     if isinstance(cell, PossValue):
-        return cell
-    cell = tuple(cell)
-    if len(cell) == 2:
-        return PossValue(triple=cell[0] if isinstance(cell[0], NeutrosophicTriple)
-                         else NeutrosophicTriple(*cell[0]), mu=cell[1])
-    if len(cell) == 4:
-        return PossValue(triple=NeutrosophicTriple(cell[0], cell[1], cell[2]), mu=cell[3])
-    raise ValueError(f"cannot interpret cell of length {len(cell)}")
+        return cell, ()
+    if isinstance(cell, dict):
+        raw = [cell.get(field, _MISSING) for field in _FIELDS]
+    else:
+        try:
+            raw = () if isinstance(cell, str) else tuple(cell)
+            if len(raw) == 2:
+                raw = (*raw[0], raw[1])
+        except TypeError:
+            raw = ()
+        if len(raw) != 4:
+            return None, ["expected {t, i, f, mu}, (t, i, f, mu) or ((t, i, f), mu)"]
+    degrees, problems = [], []
+    for field, value in zip(_FIELDS, raw):
+        if value is _MISSING:
+            problems.append(f"missing {field!r}")
+            continue
+        try:
+            degrees.append(as_unit(value, field))
+        except ValueError as exc:
+            problems.append(str(exc))
+    if problems:
+        return None, problems
+    return _trusted_cell(*degrees), ()
+
+
+def _build(parameters, universe, rows):
+    """Check raw rows against their labels in one pass and build the cells.
+
+    This is the one check of the input invariant: non-empty distinct
+    labels, one row per parameter, one cell per element, every degree in
+    [0, 1]. Each raw degree goes through as_unit exactly once, and the
+    checked Fractions become the cells directly. Returns (cells,
+    violations); the cells are meaningful only when violations is empty.
+    """
+    violations = []
+    for what, labels in (("parameter", parameters), ("universe", universe)):
+        if not labels:
+            violations.append(f"{what} list must be non-empty")
+        elif len(set(labels)) != len(labels):
+            violations.append(f"duplicate {what} labels")
+    rows = list(rows)
+    if len(rows) != len(parameters):
+        violations.append(f"expected {len(parameters)} rows for "
+                          f"{len(parameters)} parameters, got {len(rows)}")
+    matrix = []
+    for r, row in enumerate(rows):
+        p = parameters[r] if r < len(parameters) else f"row {r}"
+        if isinstance(row, (str, dict)) or not hasattr(row, "__iter__"):
+            violations.append(f"row {p!r} is not a list")
+            continue
+        row = list(row)
+        if len(row) != len(universe):
+            violations.append(f"row {p!r}: expected {len(universe)} cells for "
+                              f"{len(universe)} elements, got {len(row)}")
+        built = []
+        for c, raw in enumerate(row):
+            cell, problems = _check_cell(raw)
+            if problems:
+                u = universe[c] if c < len(universe) else f"col {c}"
+                violations.extend(f"cell ({p}, {u}): {v}" for v in problems)
+            built.append(cell)
+        matrix.append(tuple(built))
+    return tuple(matrix), violations
+
+
+def _document_shape(doc) -> list:
+    """Layout problems of a parsed document that leave no cells to check."""
+    missing = [f"missing key {key!r}" for key in ("parameters", "universe", "cells")
+               if key not in doc]
+    if missing:
+        return missing
+    violations = [f"{key!r} must be a list of strings" for key in ("parameters", "universe")
+                  if not isinstance(doc[key], list)
+                  or not all(isinstance(x, str) for x in doc[key])]
+    if not isinstance(doc["cells"], list):
+        violations.append("'cells' must be a list of rows")
+    return violations
 
 
 def validate(obj) -> list:
@@ -113,92 +203,14 @@ def validate(obj) -> list:
 
     Returns a list of human readable strings, one per problem, each naming
     the (parameter, element) coordinates where that is meaningful. An empty
-    list means the object is valid. Never raises.
+    list means the object is valid. The checks are those of `from_rows`.
     """
     if isinstance(obj, dict):
-        return _validate_document(obj)
-    violations = []
-    parameters = getattr(obj, "parameters", None)
-    universe = getattr(obj, "universe", None)
-    cells = getattr(obj, "cells", None)
-    if not parameters:
-        violations.append("parameter list is empty")
-    if not universe:
-        violations.append("universe list is empty")
-    if parameters and len(set(parameters)) != len(parameters):
-        violations.append("duplicate parameter labels")
-    if universe and len(set(universe)) != len(universe):
-        violations.append("duplicate universe labels")
-    rows = list(cells) if cells is not None else []
-    if parameters is not None and len(rows) != len(parameters):
-        violations.append(
-            f"matrix has {len(rows)} rows for {len(parameters)} parameters")
-    for i, row in enumerate(rows):
-        p = parameters[i] if parameters and i < len(parameters) else f"row {i}"
-        row = list(row)
-        if universe is not None and len(row) != len(universe):
-            violations.append(
-                f"row {p!r} has {len(row)} cells for {len(universe)} elements")
-        for j, cell in enumerate(row):
-            u = universe[j] if universe and j < len(universe) else f"col {j}"
-            try:
-                _as_cell(cell)
-            except (ValueError, TypeError) as exc:
-                violations.append(f"cell ({p}, {u}): {exc}")
-    return violations
-
-
-def _validate_document(doc) -> list:
-    """Check a parsed JSON document against the canonical layout."""
-    violations = []
-    for key in ("parameters", "universe", "cells"):
-        if key not in doc:
-            violations.append(f"missing key {key!r}")
-    if violations:
-        return violations
-    parameters = doc["parameters"]
-    universe = doc["universe"]
-    cells = doc["cells"]
-    if not isinstance(parameters, list) or not all(isinstance(p, str) for p in parameters):
-        violations.append("'parameters' must be a list of strings")
-        return violations
-    if not isinstance(universe, list) or not all(isinstance(u, str) for u in universe):
-        violations.append("'universe' must be a list of strings")
-        return violations
-    if not parameters:
-        violations.append("parameter list is empty")
-    if not universe:
-        violations.append("universe list is empty")
-    if len(set(parameters)) != len(parameters):
-        violations.append("duplicate parameter labels")
-    if len(set(universe)) != len(universe):
-        violations.append("duplicate universe labels")
-    if not isinstance(cells, list):
-        violations.append("'cells' must be a list of rows")
-        return violations
-    if len(cells) != len(parameters):
-        violations.append(f"matrix has {len(cells)} rows for {len(parameters)} parameters")
-    for i, row in enumerate(cells):
-        p = parameters[i] if i < len(parameters) else f"row {i}"
-        if not isinstance(row, list):
-            violations.append(f"row {p!r} is not a list")
-            continue
-        if len(row) != len(universe):
-            violations.append(f"row {p!r} has {len(row)} cells for {len(universe)} elements")
-        for j, cell in enumerate(row):
-            u = universe[j] if j < len(universe) else f"col {j}"
-            if not isinstance(cell, dict):
-                violations.append(f"cell ({p}, {u}): not an object")
-                continue
-            for field in ("t", "i", "f", "mu"):
-                if field not in cell:
-                    violations.append(f"cell ({p}, {u}): missing {field!r}")
-                    continue
-                try:
-                    as_unit(cell[field], field)
-                except ValueError as exc:
-                    violations.append(f"cell ({p}, {u}): {exc}")
-    return violations
+        violations = _document_shape(obj)
+        if violations:
+            return violations
+        return _build(obj["parameters"], obj["universe"], obj["cells"])[1]
+    return _build(obj.parameters, obj.universe, obj.cells)[1]
 
 
 def null_set(parameters, universe) -> PnsSet:
@@ -212,13 +224,9 @@ def universal_set(parameters, universe) -> PnsSet:
 
 
 def _constant_set(parameters, universe, value):
-    parameters = tuple(str(p) for p in parameters)
-    universe = tuple(str(u) for u in universe)
-    if not parameters or not universe:
-        raise SchemaError("parameter and universe label lists must be non-empty")
-    row = (value,) * len(universe)
-    return PnsSet(parameters=parameters, universe=universe,
-                  cells=(row,) * len(parameters))
+    parameters, universe = list(parameters), list(universe)
+    return PnsSet.from_rows(parameters, universe,
+                            [[value] * len(universe)] * len(parameters))
 
 
 def _require_same_labels(f: PnsSet, g: PnsSet):
@@ -279,46 +287,3 @@ def complement(f: PnsSet, profile: NormProfile | None = None) -> PnsSet:
         for row in f.cells
     )
     return PnsSet(parameters=f.parameters, universe=f.universe, cells=cells)
-
-
-@dataclass(frozen=True)
-class PartMatrix:
-    """One membership component of a set, each entry paired with its mu."""
-
-    parameters: tuple
-    universe: tuple
-    entries: tuple  # rows of (component, mu) pairs
-
-
-def decompose(f: PnsSet):
-    """Split into truth, indeterminacy and falsity part matrices."""
-    def part(pick):
-        return PartMatrix(
-            parameters=f.parameters,
-            universe=f.universe,
-            entries=tuple(
-                tuple((pick(c.triple), c.mu) for c in row) for row in f.cells
-            ),
-        )
-
-    return (
-        part(lambda t: t.truth),
-        part(lambda t: t.indeterminacy),
-        part(lambda t: t.falsity),
-    )
-
-
-def recompose(truth: PartMatrix, indeterminacy: PartMatrix, falsity: PartMatrix) -> PnsSet:
-    """Inverse of decompose. The three parts must agree on labels and mu."""
-    if not (truth.parameters == indeterminacy.parameters == falsity.parameters
-            and truth.universe == indeterminacy.universe == falsity.universe):
-        raise IncompatibleError("part matrices must share labels")
-    rows = []
-    for tr, ir, fr in zip(truth.entries, indeterminacy.entries, falsity.entries):
-        row = []
-        for (t, mt), (i, mi), (fv, mf) in zip(tr, ir, fr):
-            if not (mt == mi == mf):
-                raise IncompatibleError("part matrices disagree on possibility degrees")
-            row.append(PossValue(NeutrosophicTriple(t, i, fv), mt))
-        rows.append(tuple(row))
-    return PnsSet(parameters=truth.parameters, universe=truth.universe, cells=tuple(rows))

@@ -8,8 +8,6 @@ from pnsoft import (
     ZERO,
     NeutrosophicTriple,
     ProfileError,
-    apply_tconorm,
-    apply_tnorm,
     as_unit,
     check_profile,
     make_profile,
@@ -94,14 +92,15 @@ class TestScalarNorms:
         pmin = make_profile("min", "max", check=False)
         pprod = make_profile("product", "probsum", check=False)
         pluk = make_profile("lukasiewicz", "lukasiewicz", check=False)
-        assert apply_tnorm(pmin, 0.5, 0.4) == Fraction(2, 5)
-        assert apply_tconorm(pmin, 0.5, 0.4) == Fraction(1, 2)
-        assert apply_tnorm(pprod, 0.5, 0.4) == Fraction(1, 5)
-        assert apply_tconorm(pprod, 0.5, 0.4) == Fraction(7, 10)
-        assert apply_tnorm(pluk, 0.7, 0.6) == Fraction(3, 10)
-        assert apply_tnorm(pluk, 0.3, 0.4) == 0
-        assert apply_tconorm(pluk, 0.7, 0.6) == 1
-        assert apply_tconorm(pluk, 0.3, 0.4) == Fraction(7, 10)
+        f = Fraction
+        assert pmin.tnorm(f("0.5"), f("0.4")) == Fraction(2, 5)
+        assert pmin.tconorm(f("0.5"), f("0.4")) == Fraction(1, 2)
+        assert pprod.tnorm(f("0.5"), f("0.4")) == Fraction(1, 5)
+        assert pprod.tconorm(f("0.5"), f("0.4")) == Fraction(7, 10)
+        assert pluk.tnorm(f("0.7"), f("0.6")) == Fraction(3, 10)
+        assert pluk.tnorm(f("0.3"), f("0.4")) == 0
+        assert pluk.tconorm(f("0.7"), f("0.6")) == 1
+        assert pluk.tconorm(f("0.3"), f("0.4")) == Fraction(7, 10)
 
     @pytest.mark.parametrize("tnorm,tconorm", [
         ("min", "max"), ("product", "probsum"), ("lukasiewicz", "lukasiewicz"),

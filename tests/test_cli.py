@@ -44,6 +44,21 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().out
 
+    def test_csv_runs_through_the_csv_loader(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text("parameter,element,t,i,f,mu\ne1,u1,0.5,0.2,0.6,0.8\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("parameter,element,t,i,f,mu\n"
+                       "e1,u1,1.5,0.2,0.6,0.8\ne1,u2,0.5,0.2,0.6,-1\n")
+        assert main(["validate", str(good)]) == 0
+        assert capsys.readouterr().out == f"{good}: ok\n"
+        assert main(["validate", str(good), str(bad)]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"{bad}: INVALID",
+            "  - cell (e1, u1): t must lie in [0, 1], got 1.5",
+            "  - cell (e1, u2): mu must lie in [0, 1], got -1.0",
+        ]
+
 
 class TestSetCommands:
     def test_union_table(self, capsys):
@@ -188,6 +203,31 @@ class TestErrors:
     def test_incompatible_operands(self, capsys):
         assert main(["union", CARS_A, MODEL]) == 1
         assert "share parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"parameters": ["e1"], "universe": ["u1"],'
+        ' "cells": [[{"t": 1e400, "i": 0, "f": 0, "mu": 0}]]}',
+        '{"parameters": ["e1"], "universe": ["u1"],'
+        ' "cells": [[{"t": 1e5000, "i": 0, "f": 0, "mu": 0}]]}',
+        "[" * 100000,
+    ], ids=["1e400", "1e5000", "deep"])
+    @pytest.mark.parametrize("command", ["validate", "complement"])
+    def test_hostile_input_ends_in_one_short_error(self, tmp_path, capsys,
+                                                    text, command):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        assert main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        report = out if command == "validate" else err
+        assert len(report.splitlines()) <= 2 and len(report) < 200 + len(str(path))
+        assert "Exceeds the limit" not in report and "Traceback" not in report
+
+    def test_tiny_degree_completes(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text('{"parameters": ["e1"], "universe": ["u1"],'
+                        ' "cells": [[{"t": 1e-100000, "i": 1e-20000, "f": 0, "mu": 0}]]}')
+        assert main(["complement", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "e1  (0,1.0000,0.0000)|1"
 
     @pytest.mark.parametrize("argv", [
         [],

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,55 @@ class TestJsonErrors:
         bad.write_text("{")
         with pytest.raises(SchemaError, match="bad.json"):
             load_pns(bad)
+
+
+def one_cell_document(t):
+    return ('{"parameters": ["e1"], "universe": ["u1"],'
+            ' "cells": [[{"t": %s, "i": 0, "f": 0, "mu": 0}]]}' % t)
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("literal", ["1e400", "1e5000", "-1e400"])
+    def test_oversized_literal_gets_a_bounded_range_message(self, literal):
+        with pytest.raises(SchemaError) as exc:
+            loads_pns(one_cell_document(literal))
+        [violation] = exc.value.violations
+        assert violation.startswith("cell (e1, u1): t must lie in [0, 1], got ")
+        assert len(violation) < 80
+
+    def test_overlong_integer_literal(self):
+        with pytest.raises(SchemaError, match="number literal too long") as exc:
+            loads_pns(one_cell_document("1" + "0" * 5000))
+        assert len(str(exc.value)) < 80
+
+    def test_long_text_is_not_echoed_in_full(self):
+        with pytest.raises(SchemaError) as exc:
+            loads_pns(one_cell_document('"%s"' % ("x" * 5000)))
+        [violation] = exc.value.violations
+        assert "t is not a number" in violation and len(violation) < 100
+
+    def test_tiny_literal_renders_exactly_and_fast(self):
+        start = time.perf_counter()
+        tiny = loads_pns(one_cell_document("1e-100000")).cell("e1", "u1").triple.truth
+        assert decimal_string(tiny) == "0." + "0" * 99999 + "1"
+        # beyond the int-to-str digit limit
+        assert decimal_string(1 - Fraction(1, 10**20000)) == "0." + "9" * 20000
+        # generous: counting the fives one division at a time takes ~20 s
+        # on a 2-vCPU Xeon VM
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("text", ["[" * 100000,
+                                      '{"parameters": ' + "[" * 100000],
+                             ids=["top", "inside"])
+    def test_deep_nesting(self, text):
+        with pytest.raises(SchemaError, match="nested too deeply"):
+            loads_pns(text)
+
+    def test_csv_byte_order_mark(self, tmp_path):
+        assert loads_csv("\ufeff" + CSV_COMMA) == loads_csv(CSV_COMMA)
+        path = tmp_path / "bom.csv"
+        path.write_text(CSV_COMMA, encoding="utf-8-sig")
+        assert load_csv(path) == loads_csv(CSV_COMMA)
 
 
 CSV_COMMA = """parameter,element,t,i,f,mu

@@ -10,13 +10,11 @@ from pnsoft import (
     PossValue,
     SchemaError,
     complement,
-    decompose,
     equals,
     intersection,
     is_subset,
     make_profile,
     null_set,
-    recompose,
     union,
     universal_set,
     validate,
@@ -247,29 +245,3 @@ class TestOperators:
         p = make_profile("product", "probsum")
         assert not equals(union(s, s, p), s)
         assert union(s, s, p).cell("e1", "u1").triple.truth == Fraction(3, 4)
-
-
-class TestDecompose:
-    def test_part_rows(self, cars):
-        f, _ = cars
-        truth, indet, fals = decompose(f)
-        fr = Fraction
-        assert truth.entries[0] == (
-            (fr("0.5"), fr("0.8")), (fr("0.7"), fr("0.4")), (fr("0.4"), fr("0.7")))
-        assert indet.entries[2] == (
-            (fr("0.7"), fr("0.2")), (fr("0.3"), fr("0.6")), (fr("0.5"), fr("0.5")))
-        assert fals.parameters == f.parameters and fals.universe == f.universe
-
-    @given(s=pns_sets())
-    def test_recompose_inverts(self, s):
-        assert recompose(*decompose(s)) == s
-
-    def test_recompose_checks_agreement(self, cars):
-        f, g = cars
-        t1, i1, f1 = decompose(f)
-        t2, _, _ = decompose(g)
-        with pytest.raises(IncompatibleError, match="possibility degrees"):
-            recompose(t2, i1, f1)
-        bad = decompose(null_set(["x"], ["u1"]))[0]
-        with pytest.raises(IncompatibleError, match="labels"):
-            recompose(bad, i1, f1)
