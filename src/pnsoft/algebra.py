@@ -28,6 +28,41 @@ def _plain(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
+#: Largest decimal exponent a number literal may carry. Fraction expands
+#: 1e-N into an N-digit denominator, in time and memory that grow faster
+#: than N; 1e-100000 still converts in milliseconds.
+MAX_EXPONENT = 100_000
+
+
+class ExponentError(ValueError):
+    """A decimal literal whose exponent lies beyond MAX_EXPONENT."""
+
+
+def parse_decimal(text: str) -> Fraction:
+    """Exact value of a number literal: "0.7" is 7/10, "1/3" is 1/3.
+
+    A plain `int.frac` literal skips the regular expression inside
+    `Fraction(str)`; anything else goes through it, once its exponent is
+    known to be within MAX_EXPONENT. Raises ExponentError, or ValueError
+    and ZeroDivisionError as `Fraction(str)` does.
+    """
+    whole, dot, frac = text.partition(".")
+    digits = whole[1:] if whole[:1] == "-" else whole
+    if dot and digits.isdigit() and frac.isdigit() and text.isascii():
+        return Fraction(int(whole + frac), 10 ** len(frac))
+    _, e, exponent = text.replace("E", "e").rpartition("e")
+    if e:
+        try:
+            too_large = abs(int(exponent)) > MAX_EXPONENT
+        except ValueError:  # no exponent after all; Fraction says what is wrong
+            too_large = False
+        if too_large:
+            raise ExponentError(
+                f"decimal exponent out of range [-{MAX_EXPONENT}, {MAX_EXPONENT}] "
+                f"in {_plain(text)}")
+    return Fraction(text)
+
+
 def as_unit(value, what: str = "value") -> Fraction:
     """Coerce a number to an exact Fraction and require it to lie in [0, 1].
 
@@ -50,7 +85,9 @@ def as_unit(value, what: str = "value") -> Fraction:
             raise ValueError(f"{what} must be finite, got {value!r}") from None
     elif isinstance(value, str):
         try:
-            out = Fraction(value)
+            out = parse_decimal(value)
+        except ExponentError as exc:
+            raise ValueError(f"{what}: {exc}") from None
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{what} is not a number: {_plain(value)}") from None
     else:

@@ -16,7 +16,7 @@ from pathlib import Path
 from .algebra import NEGATIONS, TCONORMS, TNORMS, as_unit, make_profile
 from .decision import decide
 from .errors import PnsError, SchemaError
-from .jsonio import _to_jsonable, decimal_string, load_any, to_document
+from .jsonio import _memoized, _to_jsonable, decimal_string, load_any, to_document
 from .products import and_product, or_product, to_pns_set
 from .sets import complement, intersection, union
 from .similarity import select_by_similarity, similarity
@@ -25,12 +25,20 @@ from .similarity import select_by_similarity, similarity
 # ---------------------------------------------------------------------------
 # rendering
 
+def _six_decimals(x) -> str:
+    return "%.6f" % float(x)
+
+
 def _json(doc) -> str:
     """JSON text with every number fixed at six decimal places."""
-    return _to_jsonable(doc, lambda x: "%.6f" % float(x))
+    return _to_jsonable(doc, _six_decimals)
 
 
 def _num(x) -> str:
+    """Table text of a number: exact when short, else four decimals.
+
+    A table of many numbers renders through `_memoized(_num)`.
+    """
     if isinstance(x, Fraction):
         text = decimal_string(x)
         return text if len(text) <= 8 else "%.4f" % float(x)
@@ -47,23 +55,23 @@ def _table(headers, rows) -> str:
     return "\n".join([line(headers)] + [line(row) for row in rows])
 
 
-def _set_table(s) -> str:
+def _set_table(s, num) -> str:
     headers = [""] + list(s.universe)
     rows = []
     for p, row in zip(s.parameters, s.cells):
         rows.append([p] + [
-            f"({_num(c.triple.truth)},{_num(c.triple.indeterminacy)},"
-            f"{_num(c.triple.falsity)})|{_num(c.mu)}"
+            f"({num(c.triple.truth)},{num(c.triple.indeterminacy)},"
+            f"{num(c.triple.falsity)})|{num(c.mu)}"
             for c in row])
     return _table(headers, rows)
 
 
-def _matrix_table(m, separator) -> str:
+def _matrix_table(m, separator, num) -> str:
     headers = [""] + list(m.columns)
     rows = []
     for label, row in zip(m.rows, m.entries):
         name = label if isinstance(label, str) else separator.join(label)
-        rows.append([name] + [_num(v) for v in row])
+        rows.append([name] + [num(v) for v in row])
     return _table(headers, rows)
 
 
@@ -79,7 +87,7 @@ def _emit_set(s, args) -> None:
     if args.format == "json":
         print(_json(to_document(s)))
     else:
-        print(_set_table(s))
+        print(_set_table(s, _memoized(_num)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +189,21 @@ def _cmd_decide(args) -> int:
         }
         print(_json(doc))
         return 0
+    num = _memoized(_num)
     print("product:")
-    print(_set_table(to_pns_set(report.product, args.separator)))
+    print(_set_table(to_pns_set(report.product, args.separator), num))
     for name, matrix in (("weighted truth", report.weighted_truth),
                          ("weighted indeterminacy", report.weighted_indeterminacy),
                          ("weighted falsity", report.weighted_falsity)):
         print(f"\n{name}:")
-        print(_matrix_table(matrix, args.separator))
+        print(_matrix_table(matrix, args.separator, num))
     print()
     scores = _table(
         [""] + list(report.universe),
-        [["truth score"] + [_num(v) for v in report.truth_scores],
-         ["indeterminacy score"] + [_num(v) for v in report.indeterminacy_scores],
-         ["falsity score"] + [_num(v) for v in report.falsity_scores],
-         ["decision score"] + [_num(v) for v in report.decision_scores]])
+        [["truth score"] + [num(v) for v in report.truth_scores],
+         ["indeterminacy score"] + [num(v) for v in report.indeterminacy_scores],
+         ["falsity score"] + [num(v) for v in report.falsity_scores],
+         ["decision score"] + [num(v) for v in report.decision_scores]])
     print(scores)
     print(f"\nranking: {' > '.join(report.ranking)}")
     print(f"winner: {', '.join(report.winners)}")
@@ -234,6 +243,8 @@ def _cmd_similarity(args) -> int:
 
 
 def _gather_candidates(paths):
+    """(file stem, set) per candidate file; a file that does not load
+    carries its SchemaError in place of the set."""
     files = []
     for raw in paths:
         path = Path(raw)
@@ -245,7 +256,13 @@ def _gather_candidates(paths):
             files.extend(inside)
         else:
             files.append(path)
-    return [(p.stem, load_any(p)) for p in files]
+    candidates = []
+    for p in files:
+        try:
+            candidates.append((p.stem, load_any(p)))
+        except SchemaError as exc:
+            candidates.append((p.stem, exc))
+    return candidates
 
 
 def _cmd_select(args) -> int:

@@ -17,9 +17,10 @@ import json
 import math
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from pathlib import Path
 
-from .algebra import _plain
+from .algebra import ExponentError, _plain, parse_decimal
 from .errors import SchemaError
 from .sets import PnsSet, _document_shape, _summary
 
@@ -90,22 +91,82 @@ def from_document(doc) -> PnsSet:
     return PnsSet.from_rows(doc["parameters"], doc["universe"], doc["cells"])
 
 
+#: Entries a conversion memo holds before it stops inserting, so that data
+#: of all-distinct values costs bounded memory. Two-decimal data has at
+#: most 101 distinct degrees; its 20x200 decide report about 5,500 values.
+MEMO_CAP = 4096
+
+
+def _interned(parse):
+    """`parse` with each distinct literal converted once: equal literals
+    share one result object. Make one per load."""
+    memo = {}
+
+    def cached(text):
+        value = memo.get(text)
+        if value is None:
+            value = parse(text)
+            if len(memo) < MEMO_CAP:
+                memo[text] = value
+        return value
+    return cached
+
+
+def _memoized(number):
+    """`number` with each distinct Fraction rendered once. Make one per output.
+
+    Keyed by (numerator, denominator), since hashing a Fraction costs more
+    than rendering one. Anything but an exact Fraction goes straight to
+    `number`: 1 and Fraction(1) are equal keys but may render differently.
+    """
+    memo = {}
+
+    def cached(x):
+        if type(x) is not Fraction:
+            return number(x)
+        key = (x.numerator, x.denominator)
+        text = memo.get(key)
+        if text is None:
+            text = number(x)
+            if len(memo) < MEMO_CAP:
+                memo[key] = text
+        return text
+    return cached
+
+
 def _to_jsonable(obj, number) -> str:
-    """Recursively dump to JSON text; `number` renders Fractions and floats."""
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, (float, Fraction)):
-        return number(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_to_jsonable(v, number)}"
-                               for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_to_jsonable(v, number) for v in obj) + "]"
-    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+    """Recursively dump to JSON text; `number` renders Fractions and floats.
+
+    Each distinct Fraction goes through `number` once per call.
+    """
+    number = _memoized(number)
+
+    def render(obj):
+        # the exact types come first; bool, None and subclasses fall through
+        kind = type(obj)
+        if kind is Fraction:
+            return number(obj)
+        if kind is list or kind is tuple:
+            return "[" + ", ".join(map(render, obj)) + "]"
+        if kind is dict:
+            return "{" + ", ".join(f"{_quote(str(k))}: {render(v)}"
+                                   for k, v in obj.items()) + "}"
+        if kind is str:
+            return _quote(obj)
+        if isinstance(obj, bool) or obj is None:
+            return json.dumps(obj)
+        if isinstance(obj, int):
+            return str(obj)
+        if isinstance(obj, (float, Fraction)):
+            return number(obj)
+        if isinstance(obj, str):
+            return _quote(obj)
+        if isinstance(obj, dict):
+            return render(dict(obj.items()))
+        if isinstance(obj, (list, tuple)):
+            return render(list(obj))
+        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+    return render(obj)
 
 
 def dumps_pns(doc, number=decimal_string) -> str:
@@ -133,11 +194,13 @@ def _reject_constant(name):
 def loads_pns(text: str) -> PnsSet:
     """Parse JSON text into a set; decimals become exact fractions."""
     try:
-        doc = json.loads(text, parse_float=Fraction,
+        doc = json.loads(text, parse_float=_interned(parse_decimal),
                          parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"JSON parse error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from None
+    except ExponentError as exc:
+        raise SchemaError(f"JSON parse error: {exc}") from None
     except RecursionError:
         raise SchemaError("JSON parse error: arrays or objects nested too deeply") from None
     except ValueError:  # an integer literal beyond the int-to-str digit limit
@@ -192,6 +255,7 @@ def loads_csv(text: str, source: str = "<csv>") -> PnsSet:
     if header != list(CSV_COLUMNS):
         raise SchemaError(
             f"{source}: header must be {', '.join(CSV_COLUMNS)}; got {', '.join(header)}")
+    parse = _interned(parse_decimal)
     seen = {}
     parameters, universe, problems = [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
@@ -206,7 +270,10 @@ def loads_csv(text: str, source: str = "<csv>") -> PnsSet:
             if delimiter == ";":
                 field = field.replace(",", ".")  # decimal comma
             try:
-                numbers.append(Fraction(field))
+                numbers.append(parse(field))
+            except ExponentError as exc:
+                problems.append(f"line {lineno}: bad number for {name} "
+                                f"in cell ({p}, {u}): {exc}")
             except (ValueError, ZeroDivisionError):
                 problems.append(f"line {lineno}: bad number for {name} "
                                 f"in cell ({p}, {u}): {_plain(field)}")
@@ -225,7 +292,10 @@ def loads_csv(text: str, source: str = "<csv>") -> PnsSet:
         where = ", ".join(f"({p}, {u})" for p, u in missing[:5])
         raise SchemaError(f"{source}: incomplete grid, missing cells {where}")
     grid = [[seen[(p, u)] for u in universe] for p in parameters]
-    return PnsSet.from_rows(parameters, universe, grid)
+    try:
+        return PnsSet.from_rows(parameters, universe, grid)
+    except SchemaError as exc:
+        raise SchemaError(f"{source}: {exc}", violations=exc.violations) from None
 
 
 def load_any(path) -> PnsSet:

@@ -123,7 +123,8 @@ def select_by_similarity(model: PnsSet, candidates, p: int = 2,
                          threshold=Fraction(1, 2)) -> SelectionReport:
     """Compare every (label, set) candidate against the model and pick the best.
 
-    Candidates that cannot be compared (label mismatch, degenerate rows)
+    Candidates that cannot be compared (label mismatch, degenerate rows, or
+    a PnsError given in place of the set, such as a file that did not load)
     are carried in the report with their error instead of aborting the
     whole run. Ties for the best score are all selected.
     """
@@ -134,6 +135,8 @@ def select_by_similarity(model: PnsSet, candidates, p: int = 2,
     results = []
     for label, candidate in candidates:
         try:
+            if isinstance(candidate, PnsError):
+                raise candidate
             report = similarity(model, candidate, p=p, threshold=threshold)
         except PnsError as exc:
             results.append(CandidateResult(label=str(label), report=None,

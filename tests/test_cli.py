@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -242,3 +243,68 @@ class TestErrors:
             main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestExponentLimit:
+    LITERAL = "1e-1000000000"
+
+    @pytest.mark.parametrize("name,text", [
+        ("huge.json", '{"parameters": ["e1"], "universe": ["u1"],'
+                      ' "cells": [[{"t": %s, "i": 0, "f": 0, "mu": 0}]]}' % LITERAL),
+        ("huge.csv", "parameter,element,t,i,f,mu\ne1,u1,%s,0,0,0\n" % LITERAL),
+    ])
+    def test_file_exits_1_fast(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        start = time.perf_counter()
+        assert main(["complement", str(path)]) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "exponent out of range" in err
+        assert len(err.splitlines()) == 1 and len(err) < 150 + len(str(path))
+
+    def test_argument_is_a_fast_usage_error(self, capsys):
+        # a bad --threshold is a usage error, exit 2, like --threshold 1.5
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["similarity", CARS_A, CARS_B, "--threshold", self.LITERAL])
+        assert exc.value.code == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "--threshold: value: decimal exponent out of range" in err
+
+
+class TestSelectWithABadCandidate:
+    @pytest.fixture
+    def candidates(self, tmp_path):
+        for path in fixture("applicants").iterdir():
+            (tmp_path / path.name).write_text(path.read_text())
+        (tmp_path / "zz.json").write_text("{")
+        return tmp_path
+
+    def test_table_carries_the_error_row(self, candidates, capsys):
+        assert main(["select", MODEL, str(candidates)]) == 0
+        out = capsys.readouterr().out
+        [row] = [line for line in out.splitlines() if line.startswith("zz ")]
+        assert "JSON parse error at line 1" in row and "zz.json" in row
+        assert "selected: applicant_4" in out
+
+    def test_json_carries_the_error(self, candidates, capsys):
+        assert main(["select", MODEL, str(candidates), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [c["label"] for c in doc["candidates"]] == [
+            *(f"applicant_{k}" for k in range(1, 6)), "zz"]
+        zz = doc["candidates"][-1]
+        assert zz["overall"] is None and zz["significant"] is False
+        assert "JSON parse error" in zz["error"]
+        assert doc["selected"] == ["applicant_4"]
+
+    def test_only_bad_candidates_exit_1(self, tmp_path, capsys):
+        (tmp_path / "zz.json").write_text("{")
+        assert main(["select", MODEL, str(tmp_path)]) == 1
+        assert "selected: (none)" in capsys.readouterr().out
+
+    def test_a_bad_model_still_aborts(self, candidates, capsys):
+        assert main(["select", str(candidates / "zz.json"), APPLICANTS]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "zz.json" in err

@@ -309,3 +309,39 @@ class TestCsv:
     def test_diagnostics(self, text, match):
         with pytest.raises(SchemaError, match=match):
             loads_csv(text)
+
+
+HUGE_EXPONENTS = ["1e-1000000000", "1E+1000000000", "-2.5e-100001", "1e100001"]
+
+
+class TestExponentLimit:
+    @pytest.mark.parametrize("literal", HUGE_EXPONENTS)
+    def test_json_literal(self, literal):
+        start = time.perf_counter()
+        with pytest.raises(SchemaError, match=r"exponent out of range") as exc:
+            loads_pns(one_cell_document(literal))
+        assert time.perf_counter() - start < 1
+        assert len(str(exc.value)) < 120
+
+    @pytest.mark.parametrize("literal", HUGE_EXPONENTS)
+    def test_csv_field(self, literal):
+        start = time.perf_counter()
+        with pytest.raises(SchemaError, match=r"line 2: bad number for t in cell "
+                                              r"\(a, x\): decimal exponent") as exc:
+            loads_csv(f"parameter,element,t,i,f,mu\na,x,{literal},0,0,0\n")
+        assert time.perf_counter() - start < 1
+        assert len(str(exc.value)) < 120
+
+    def test_limit_itself_loads(self):
+        s = loads_csv("parameter,element,t,i,f,mu\na,x,1e-100000,0,0,0\n")
+        assert s.cell("a", "x").triple.truth == Fraction(1, 10**100000)
+
+
+class TestCsvRangeErrors:
+    def test_message_names_the_file_and_keeps_the_violations(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("parameter,element,t,i,f,mu\ne1,u1,1.5,0,0,0\n")
+        with pytest.raises(SchemaError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: cell (e1, u1): t must lie in [0, 1], got 1.5"
+        assert exc.value.violations == ["cell (e1, u1): t must lie in [0, 1], got 1.5"]

@@ -8,6 +8,7 @@ from pnsoft import (
     NeutrosophicTriple,
     PnsError,
     PnsSet,
+    SchemaError,
     phi,
     possibility_similarity,
     select_by_similarity,
@@ -170,6 +171,15 @@ class TestSelection:
         by_label = {c.label: c for c in s.candidates}
         assert by_label["odd"].error is not None
         assert "share parameter" in by_label["odd"].error
+        assert s.selected == ("applicant_4",)
+
+    def test_error_in_place_of_a_set_is_carried(self, hiring):
+        model, candidates = hiring
+        failed = SchemaError("zz.json: JSON parse error at line 1, column 2")
+        s = select_by_similarity(model, [("zz", failed)] + candidates)
+        assert s.candidates[0].label == "zz"
+        assert s.candidates[0].error == str(failed)
+        assert s.candidates[0].overall is None
         assert s.selected == ("applicant_4",)
 
     def test_all_broken_selects_nothing(self, hiring):
