@@ -274,19 +274,20 @@ def check_profile(profile: NormProfile) -> None:
 
 
 def make_profile(tnorm="min", tconorm="max", negation="standard",
-                 triple_negation=None, check: bool = True) -> NormProfile:
+                 triple_negation=None) -> NormProfile:
     """Build a NormProfile from family names or callables.
 
     `negation` names the scalar negation; unless `triple_negation` is given
     the triple negation is derived from it (swap truth/falsity, negate
-    indeterminacy). With check=True the axioms are verified up front.
+    indeterminacy). A profile given any callable is checked against the
+    axioms up front; the named families are verified by the test suite.
     """
     t = _resolve(TNORMS, tnorm, "t-norm")
     s = _resolve(TCONORMS, tconorm, "t-conorm")
     n = _resolve(NEGATIONS, negation, "negation")
     nt = triple_negation if triple_negation is not None else _default_triple_negation(n)
     profile = NormProfile(tnorm=t, tconorm=s, scalar_negation=n, triple_negation=nt)
-    if check:
+    if triple_negation is not None or any(map(callable, (tnorm, tconorm, negation))):
         check_profile(profile)
     return profile
 
@@ -319,5 +320,4 @@ def negate_triple(a: NeutrosophicTriple, profile: NormProfile | None = None) -> 
 
 
 #: min/max with the standard negation, the family every worked dataset uses
-DEFAULT_PROFILE = make_profile(check=False)
-check_profile(DEFAULT_PROFILE)
+DEFAULT_PROFILE = make_profile()

@@ -31,7 +31,7 @@ def _six_decimals(x) -> str:
 
 def _json(doc) -> str:
     """JSON text with every number fixed at six decimal places."""
-    return _to_jsonable(doc, _six_decimals)
+    return _to_jsonable(doc, _memoized(_six_decimals))
 
 
 def _num(x) -> str:
@@ -136,7 +136,8 @@ def _cmd_validate(args) -> int:
             load_any(path)
             violations = []
         except SchemaError as exc:
-            violations = exc.violations or [str(exc)]
+            # the report names the file already; keep the loader's reason
+            violations = exc.violations or [str(exc).removeprefix(f"{path}: ")]
         files.append({"path": str(path), "valid": not violations,
                       "violations": violations})
     if args.format == "json":

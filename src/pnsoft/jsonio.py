@@ -91,25 +91,11 @@ def from_document(doc) -> PnsSet:
     return PnsSet.from_rows(doc["parameters"], doc["universe"], doc["cells"])
 
 
-#: Entries a conversion memo holds before it stops inserting, so that data
-#: of all-distinct values costs bounded memory. Two-decimal data has at
-#: most 101 distinct degrees; its 20x200 decide report about 5,500 values.
+#: Entries a conversion memo holds, so that data of all-distinct values
+#: costs bounded memory: a load's literal -> Fraction table is an LRU cache
+#: of this size, a render memo stops inserting at it. Two-decimal data has
+#: at most 101 distinct degrees; its 20x200 decide report about 5,500 values.
 MEMO_CAP = 4096
-
-
-def _interned(parse):
-    """`parse` with each distinct literal converted once: equal literals
-    share one result object. Make one per load."""
-    memo = {}
-
-    def cached(text):
-        value = memo.get(text)
-        if value is None:
-            value = parse(text)
-            if len(memo) < MEMO_CAP:
-                memo[text] = value
-        return value
-    return cached
 
 
 def _memoized(number):
@@ -137,10 +123,9 @@ def _memoized(number):
 def _to_jsonable(obj, number) -> str:
     """Recursively dump to JSON text; `number` renders Fractions and floats.
 
-    Each distinct Fraction goes through `number` once per call.
+    Give it one `_memoized` formatter per output, so that each distinct
+    Fraction is formatted once however many calls the output takes.
     """
-    number = _memoized(number)
-
     def render(obj):
         # the exact types come first; bool, None and subclasses fall through
         kind = type(obj)
@@ -174,6 +159,7 @@ def dumps_pns(doc, number=decimal_string) -> str:
 
     One line per label list and per matrix row, so diffs stay readable.
     """
+    number = _memoized(number)
     last = len(doc["cells"]) - 1
     return "\n".join([
         "{",
@@ -192,9 +178,10 @@ def _reject_constant(name):
 
 
 def loads_pns(text: str) -> PnsSet:
-    """Parse JSON text into a set; decimals become exact fractions."""
+    """Parse JSON text into a set; numbers become exact fractions."""
+    parse = functools.lru_cache(maxsize=MEMO_CAP)(parse_decimal)
     try:
-        doc = json.loads(text, parse_float=_interned(parse_decimal),
+        doc = json.loads(text, parse_float=parse, parse_int=parse,
                          parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"JSON parse error at line {exc.lineno}, "
@@ -210,19 +197,20 @@ def loads_pns(text: str) -> PnsSet:
     return from_document(doc)
 
 
-def _read(path) -> str:
+def _load(path, loads) -> PnsSet:
+    """Read a file and parse it with `loads`; an error names the file once."""
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
+    try:
+        return loads(text)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}", violations=exc.violations) from None
 
 
 def load_pns(path) -> PnsSet:
-    text = _read(path)
-    try:
-        return loads_pns(text)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}", violations=exc.violations) from None
+    return _load(path, loads_pns)
 
 
 def save_pns(s: PnsSet, path) -> None:
@@ -240,24 +228,23 @@ def load_csv(path) -> PnsSet:
     (parameter, element) pair must appear exactly once; label order follows
     first appearance.
     """
-    return loads_csv(_read(path), source=str(path))
+    return _load(path, loads_csv)
 
 
-def loads_csv(text: str, source: str = "<csv>") -> PnsSet:
+def loads_csv(text: str) -> PnsSet:
     text = text.removeprefix("\ufeff")  # byte order mark written by spreadsheets
     first = text.splitlines()[0] if text.splitlines() else ""
     delimiter = ";" if first.count(";") >= first.count(",") and ";" in first else ","
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     rows = [row for row in reader if any(field.strip() for field in row)]
     if not rows:
-        raise SchemaError(f"{source}: empty CSV")
+        raise SchemaError("empty CSV")
     header = [h.strip().lower() for h in rows[0]]
     if header != list(CSV_COLUMNS):
         raise SchemaError(
-            f"{source}: header must be {', '.join(CSV_COLUMNS)}; got {', '.join(header)}")
-    parse = _interned(parse_decimal)
-    seen = {}
-    parameters, universe, problems = [], [], []
+            f"header must be {', '.join(CSV_COLUMNS)}; got {', '.join(header)}")
+    parse = functools.lru_cache(maxsize=MEMO_CAP)(parse_decimal)
+    seen, problems = {}, []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(CSV_COLUMNS):
             problems.append(
@@ -281,25 +268,19 @@ def loads_csv(text: str, source: str = "<csv>") -> PnsSet:
             problems.append(f"line {lineno}: duplicate cell ({p}, {u})")
             continue
         seen[(p, u)] = tuple(numbers)
-        if p not in parameters:
-            parameters.append(p)
-        if u not in universe:
-            universe.append(u)
     if problems:
-        raise SchemaError(f"{source}: {_summary(problems)}", violations=problems)
+        raise SchemaError(_summary(problems), violations=problems)
+    parameters = list(dict.fromkeys(p for p, _ in seen))
+    universe = list(dict.fromkeys(u for _, u in seen))
     missing = [(p, u) for p in parameters for u in universe if (p, u) not in seen]
     if missing:
         where = ", ".join(f"({p}, {u})" for p, u in missing[:5])
-        raise SchemaError(f"{source}: incomplete grid, missing cells {where}")
+        raise SchemaError(f"incomplete grid, missing cells {where}")
     grid = [[seen[(p, u)] for u in universe] for p in parameters]
-    try:
-        return PnsSet.from_rows(parameters, universe, grid)
-    except SchemaError as exc:
-        raise SchemaError(f"{source}: {exc}", violations=exc.violations) from None
+    return PnsSet.from_rows(parameters, universe, grid)
 
 
 def load_any(path) -> PnsSet:
     """Dispatch on file extension: .csv imports, anything else parses as JSON."""
-    if Path(path).suffix.lower() == ".csv":
-        return load_csv(path)
-    return load_pns(path)
+    csv_file = Path(path).suffix.lower() == ".csv"
+    return _load(path, loads_csv if csv_file else loads_pns)

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pnsoft import (
     ONE,
+    TCONORMS,
+    TNORMS,
     ZERO,
     NeutrosophicTriple,
     ProfileError,
@@ -16,7 +22,17 @@ from pnsoft import (
     negate_triple,
     triple_leq,
 )
-from pnsoft.algebra import DEFAULT_PROFILE, NormProfile, negation_standard
+import pnsoft.algebra
+from pnsoft.algebra import (
+    DEFAULT_PROFILE,
+    NormProfile,
+    negation_standard,
+    tconorm_probsum,
+    tnorm_product,
+)
+from pnsoft.cli import main
+
+from conftest import fixture
 
 units = st.integers(0, 20).map(lambda k: Fraction(k, 20))
 triples = st.tuples(units, units, units).map(lambda t: NeutrosophicTriple(*t))
@@ -89,9 +105,9 @@ class TestTriple:
 
 class TestScalarNorms:
     def test_known_values(self):
-        pmin = make_profile("min", "max", check=False)
-        pprod = make_profile("product", "probsum", check=False)
-        pluk = make_profile("lukasiewicz", "lukasiewicz", check=False)
+        pmin = make_profile("min", "max")
+        pprod = make_profile("product", "probsum")
+        pluk = make_profile("lukasiewicz", "lukasiewicz")
         f = Fraction
         assert pmin.tnorm(f("0.5"), f("0.4")) == Fraction(2, 5)
         assert pmin.tconorm(f("0.5"), f("0.4")) == Fraction(1, 2)
@@ -102,18 +118,18 @@ class TestScalarNorms:
         assert pluk.tconorm(f("0.7"), f("0.6")) == 1
         assert pluk.tconorm(f("0.3"), f("0.4")) == Fraction(7, 10)
 
-    @pytest.mark.parametrize("tnorm,tconorm", [
-        ("min", "max"), ("product", "probsum"), ("lukasiewicz", "lukasiewicz"),
-    ])
+    # make_profile trusts the named families, so this is their check
+    @pytest.mark.parametrize("tconorm", sorted(TCONORMS))
+    @pytest.mark.parametrize("tnorm", sorted(TNORMS))
     def test_families_pass_the_axiom_check(self, tnorm, tconorm):
-        make_profile(tnorm, tconorm)  # check=True raises on any violation
+        check_profile(make_profile(tnorm, tconorm))
 
     @pytest.mark.parametrize("tnorm,tconorm", [
         ("min", "max"), ("product", "probsum"), ("lukasiewicz", "lukasiewicz"),
     ])
     @given(x=units, y=units, z=units)
     def test_axioms_hold_exactly(self, tnorm, tconorm, x, y, z):
-        p = make_profile(tnorm, tconorm, check=False)
+        p = make_profile(tnorm, tconorm)
         t, s = p.tnorm, p.tconorm
         assert t(x, 1) == x and s(x, 0) == x
         assert t(x, y) == t(y, x) and s(x, y) == s(y, x)
@@ -160,6 +176,58 @@ class TestProfileCheck:
         ))
 
 
+class TestWhereProfilesAreChecked:
+    """make_profile checks callables; the named families are checked by
+    test_families_pass_the_axiom_check instead of on every call."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        real = pnsoft.algebra.check_profile
+
+        def counting(profile):
+            calls.append(profile)
+            return real(profile)
+
+        monkeypatch.setattr(pnsoft.algebra, "check_profile", counting)
+        return calls
+
+    def test_importing_the_package_checks_nothing(self):
+        # a fresh interpreter, so that the import runs the module code
+        code = ("import sys\n"
+                "calls = []\n"
+                "def spy(frame, event, arg):\n"
+                "    if event == 'call' and frame.f_code.co_name == 'check_profile':\n"
+                "        calls.append(event)\n"
+                "sys.setprofile(spy)\n"
+                "import pnsoft.cli\n"
+                "sys.setprofile(None)\n"
+                "print(len(calls))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(pnsoft.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
+    def test_a_named_family_on_the_command_line_is_not_rechecked(self, checks,
+                                                                 capsys):
+        argv = ["union", str(fixture("cars_assessment_a.json")),
+                str(fixture("cars_assessment_b.json")),
+                "--tnorm", "product", "--tconorm", "probsum"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert checks == []
+
+    @pytest.mark.parametrize("given", [
+        {"tnorm": tnorm_product},
+        {"tconorm": tconorm_probsum},
+        {"negation": negation_standard},
+        {"triple_negation": DEFAULT_PROFILE.triple_negation},
+    ], ids=["tnorm", "tconorm", "negation", "triple_negation"])
+    def test_a_callable_is_checked(self, checks, given):
+        profile = make_profile(**given)
+        assert checks == [profile]
+
+
 class TestTripleNorms:
     def test_known_values(self):
         assert n_norm(T(0.5, 0.3, 0.7), T(0.4, 0.6, 0.2)) == T(0.4, 0.6, 0.7)
@@ -177,7 +245,7 @@ class TestTripleNorms:
 
     @given(a=triples)
     def test_boundary_laws(self, a):
-        for p in (DEFAULT_PROFILE, make_profile("product", "probsum", check=False)):
+        for p in (DEFAULT_PROFILE, make_profile("product", "probsum")):
             assert n_norm(a, ONE, p) == a
             assert n_norm(a, ZERO, p) == ZERO
             assert n_conorm(a, ZERO, p) == a

@@ -21,6 +21,7 @@ from pnsoft import (
     loads_pns,
     validate,
 )
+from pnsoft.cli import main
 
 from conftest import fixture
 
@@ -169,3 +170,45 @@ def test_each_loaded_degree_is_checked_exactly_once(load, monkeypatch):
     cells = len(s.parameters) * len(s.universe)
     assert len(calls) == 4 * cells
     assert sorted(set(calls)) == sorted(FIELDS)
+
+
+def one_row(cells):
+    return '{"parameters": ["e1"], "universe": ["u1"], "cells": %s}' % cells
+
+
+CELL_SHAPE = "expected {t, i, f, mu}, (t, i, f, mu) or ((t, i, f), mu)"
+LAYOUTS = {
+    "no-universe": ('{"parameters": ["e1"], "cells": [[]]}',
+                    "invalid document: missing key 'universe'"),
+    "cells-number": (one_row("3"),
+                     "invalid document: 'cells' must be a list of rows"),
+    "row-number": (one_row("[3]"), "row 'e1' is not a list"),
+    "row-object": (one_row('[{"t": 0.5}]'), "row 'e1' is not a list"),
+    "cell-string": (one_row('[["0.5"]]'), f"cell (e1, u1): {CELL_SHAPE}"),
+    "cell-three": (one_row("[[[0.5, 0.2, 0.6]]]"), f"cell (e1, u1): {CELL_SHAPE}"),
+}
+
+
+@pytest.mark.parametrize("text,message", LAYOUTS.values(), ids=LAYOUTS)
+def test_a_broken_layout_gets_its_exact_message(text, message):
+    with pytest.raises(SchemaError) as exc:
+        loads_pns(text)
+    assert str(exc.value) == message
+    assert exc.value.violations == [message.removeprefix("invalid document: ")]
+
+
+@pytest.mark.parametrize("text,message", LAYOUTS.values(), ids=LAYOUTS)
+def test_a_broken_layout_ends_the_cli_in_one_error_line(tmp_path, capsys,
+                                                        text, message):
+    path = tmp_path / "broken.json"
+    path.write_text(text)
+    assert main(["complement", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+def test_poss_value_takes_a_plain_tuple_triple():
+    cell = PossValue((0.5, "1/5", Fraction(3, 5)), 0.8)
+    assert type(cell.triple) is NeutrosophicTriple
+    assert cell == PossValue(NeutrosophicTriple(0.5, 0.2, 0.6), Fraction(4, 5))
+    with pytest.raises(ValueError, match=r"^truth must lie in \[0, 1\], got 1.5$"):
+        PossValue((1.5, 0, 0), 0)

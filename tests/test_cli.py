@@ -45,6 +45,26 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name,text,reason", [
+        ("bad.json", "{", "JSON parse error at line 1, column 2: Expecting "
+                          "property name enclosed in double quotes"),
+        ("bad.csv", "parameter,element,t\n",
+         "header must be parameter, element, t, i, f, mu; got parameter, element, t"),
+        ("gone.json", None, "cannot read {path}: [Errno 2] No such file or "
+                            "directory: '{path}'"),
+    ], ids=["json-parse", "csv-header", "unreadable"])
+    def test_a_load_failure_names_the_file_once(self, tmp_path, capsys,
+                                                name, text, reason):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        reason = reason.format(path=path)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == f"{path}: INVALID\n  - {reason}\n"
+        assert main(["validate", str(path), "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {"files": [
+            {"path": str(path), "valid": False, "violations": [reason]}]}
+
     def test_csv_runs_through_the_csv_loader(self, tmp_path, capsys):
         good = tmp_path / "good.csv"
         good.write_text("parameter,element,t,i,f,mu\ne1,u1,0.5,0.2,0.6,0.8\n")
@@ -193,6 +213,19 @@ class TestErrors:
         assert main(["union", CARS_A, "/no/such/file.json"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "cannot read" in err
+
+    @pytest.mark.parametrize("name", ["binary.json", "binary.csv"])
+    def test_undecodable_file_is_a_domain_error(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe\x00")
+        try:
+            path.read_text()
+        except UnicodeDecodeError as exc:
+            reason = str(exc)  # "'utf-8' codec can't decode byte 0xff ..."
+        else:
+            pytest.skip("the locale's encoding decodes any byte")
+        assert main(["complement", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: cannot read {path}: {reason}\n"
 
     def test_malformed_set_reports_coordinates(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -255,3 +255,26 @@ def test_a_load_builds_one_fraction_per_distinct_literal(seeded_pair, monkeypatc
     degrees = [x for row in s.cells for c in row for x in (*c.triple, c.mu)]
     assert len({id(x) for x in degrees}) == len(set(literals))
     assert [x for x in degrees] == [Fraction(v) for v in literals]
+
+
+def test_dumps_formats_each_distinct_value_once(seeded_pair, monkeypatch,
+                                                tmp_path):
+    pair, _ = seeded_pair
+    s = loads_pns(number_text(pair[0]))
+    doc = pnsoft.jsonio.to_document(s)
+    values = {exact(x) for row in doc["cells"] for cell in row for x in cell.values()}
+    calls = collections.Counter()
+
+    def counted(x):
+        calls[exact(x)] += 1
+        return decimal_string(x)
+
+    text = pnsoft.jsonio.dumps_pns(doc, counted)
+    assert text == pnsoft.jsonio.dumps_pns(doc)
+    assert len(doc["cells"]) > 1 and sorted(calls) == sorted(values)
+    assert max(calls.values()) == 1, calls.most_common(3)
+    # save_pns renders through decimal_string, one scale lookup per call
+    scales = counting(monkeypatch, pnsoft.jsonio, "_decimal_scale", int)
+    pnsoft.jsonio.save_pns(s, tmp_path / "saved.json")
+    assert sum(scales.values()) == len(values)
+    assert (tmp_path / "saved.json").read_text() == text

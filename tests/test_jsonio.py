@@ -208,6 +208,22 @@ class TestHostileInput:
         assert violation.startswith("cell (e1, u1): t must lie in [0, 1], got ")
         assert len(violation) < 80
 
+    def test_integer_degrees_share_one_fraction_per_literal(self):
+        cell = '{"t": 1, "i": 0, "f": 0, "mu": 1}'
+        s = loads_pns('{"parameters": ["e1"], "universe": ["u1", "u2", "u3"],'
+                      ' "cells": [[%s]]}' % ", ".join([cell] * 3))
+        degrees = [x for c in s.cells[0] for x in (*c.triple, c.mu)]
+        assert len(degrees) == 12 and len({id(x) for x in degrees}) == 2
+        assert all(type(x) is Fraction for x in degrees)
+
+    def test_out_of_range_integer_echoes_as_in_csv(self):
+        with pytest.raises(SchemaError) as exc:
+            loads_pns(one_cell_document("2"))
+        assert exc.value.violations == ["cell (e1, u1): t must lie in [0, 1], got 2.0"]
+        with pytest.raises(SchemaError) as from_csv:
+            loads_csv("parameter,element,t,i,f,mu\ne1,u1,2,0,0,0\n")
+        assert from_csv.value.violations == exc.value.violations
+
     def test_overlong_integer_literal(self):
         with pytest.raises(SchemaError, match="number literal too long") as exc:
             loads_pns(one_cell_document("1" + "0" * 5000))
