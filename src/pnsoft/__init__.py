@@ -47,7 +47,6 @@ from .jsonio import (
     loads_csv,
     loads_pns,
     save_pns,
-    to_document,
 )
 from .products import ProductPnsSet, and_product, or_product, to_pns_set
 from .sets import (

@@ -9,6 +9,7 @@ Exit status: 0 on success, 1 on a domain error, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,10 +17,10 @@ from pathlib import Path
 from .algebra import NEGATIONS, TCONORMS, TNORMS, as_unit, make_profile
 from .decision import decide
 from .errors import PnsError, SchemaError
-from .jsonio import _memoized, _to_jsonable, decimal_string, load_any, to_document
+from .jsonio import _memoized, _to_jsonable, decimal_string, load_any
 from .products import and_product, or_product, to_pns_set
 from .sets import complement, intersection, union
-from .similarity import select_by_similarity, similarity
+from .similarity import MAX_ORDER, select_by_similarity, similarity
 
 
 # ---------------------------------------------------------------------------
@@ -66,26 +67,16 @@ def _set_table(s, num) -> str:
     return _table(headers, rows)
 
 
-def _matrix_table(m, separator, num) -> str:
-    headers = [""] + list(m.columns)
-    rows = []
-    for label, row in zip(m.rows, m.entries):
-        name = label if isinstance(label, str) else separator.join(label)
-        rows.append([name] + [num(v) for v in row])
-    return _table(headers, rows)
-
-
-def _matrix_doc(m, separator) -> dict:
-    return {
-        "rows": [separator.join(r) if not isinstance(r, str) else r for r in m.rows],
-        "columns": list(m.columns),
-        "entries": [list(row) for row in m.entries],
-    }
+def _matrix_table(m, labels, num) -> str:
+    """A weighted matrix as a table, its rows named by the flat `labels`."""
+    return _table([""] + list(m.columns),
+                  [[label] + [num(v) for v in row]
+                   for label, row in zip(labels, m.entries)])
 
 
 def _emit_set(s, args) -> None:
     if args.format == "json":
-        print(_json(to_document(s)))
+        print(_json(s))
     else:
         print(_set_table(s, _memoized(_num)))
 
@@ -105,8 +96,8 @@ def _order_arg(text: str):
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"p must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("p must be >= 1")
+    if not 1 <= value <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"p must lie in [1, {MAX_ORDER}], got {value}")
     return value
 
 
@@ -174,30 +165,32 @@ def _cmd_product(args) -> int:
 
 def _cmd_decide(args) -> int:
     report = decide(load_any(args.first), load_any(args.second))
+    # flatten the pair labels once, so a separator that merges two of
+    # them fails before anything is printed
+    product = to_pns_set(report.product, args.separator)
+    matrices = (("truth", report.weighted_truth),
+                ("indeterminacy", report.weighted_indeterminacy),
+                ("falsity", report.weighted_falsity))
     if args.format == "json":
-        doc = {
-            "universe": list(report.universe),
-            "product": to_document(to_pns_set(report.product, args.separator)),
-            "weighted_truth": _matrix_doc(report.weighted_truth, args.separator),
-            "weighted_indeterminacy": _matrix_doc(report.weighted_indeterminacy, args.separator),
-            "weighted_falsity": _matrix_doc(report.weighted_falsity, args.separator),
-            "truth_scores": list(report.truth_scores),
-            "indeterminacy_scores": list(report.indeterminacy_scores),
-            "falsity_scores": list(report.falsity_scores),
-            "decision_scores": list(report.decision_scores),
-            "ranking": list(report.ranking),
-            "winners": list(report.winners),
-        }
+        doc = {"universe": report.universe, "product": product}
+        for name, matrix in matrices:
+            doc[f"weighted_{name}"] = {"rows": product.parameters,
+                                       "columns": matrix.columns,
+                                       "entries": matrix.entries}
+        doc.update(truth_scores=report.truth_scores,
+                   indeterminacy_scores=report.indeterminacy_scores,
+                   falsity_scores=report.falsity_scores,
+                   decision_scores=report.decision_scores,
+                   ranking=report.ranking,
+                   winners=report.winners)
         print(_json(doc))
         return 0
     num = _memoized(_num)
     print("product:")
-    print(_set_table(to_pns_set(report.product, args.separator), num))
-    for name, matrix in (("weighted truth", report.weighted_truth),
-                         ("weighted indeterminacy", report.weighted_indeterminacy),
-                         ("weighted falsity", report.weighted_falsity)):
-        print(f"\n{name}:")
-        print(_matrix_table(matrix, args.separator, num))
+    print(_set_table(product, num))
+    for name, matrix in matrices:
+        print(f"\nweighted {name}:")
+        print(_matrix_table(matrix, product.parameters, num))
     print()
     scores = _table(
         [""] + list(report.universe),
@@ -250,8 +243,11 @@ def _gather_candidates(paths):
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            inside = sorted(p for p in path.iterdir()
-                            if p.suffix.lower() in (".json", ".csv"))
+            try:
+                inside = sorted(p for p in path.iterdir()
+                                if p.suffix.lower() in (".json", ".csv"))
+            except OSError as exc:
+                raise PnsError(f"cannot read directory {path}: {exc}") from None
             if not inside:
                 raise PnsError(f"directory {path} holds no candidate files")
             files.extend(inside)
@@ -342,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("first")
     s.add_argument("second")
     s.add_argument("-p", type=_order_arg, default=2,
-                   help="Minkowski order for the value factor (default: 2)")
+                   help=f"Minkowski order for the value factor, 1 to {MAX_ORDER} "
+                        "(default: 2)")
     s.add_argument("--threshold", type=_unit_arg, default=Fraction(1, 2),
                    help="significance cutoff (default: 0.5)")
     _add_format(s)
@@ -364,10 +361,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a write failure surfaces here, not at exit
     except PnsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # commands raise no other OSError
+        # what is still buffered goes to devnull, so that the flush at
+        # interpreter exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a closed reader wants no more
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -69,19 +69,6 @@ def decimal_string(value) -> str:
     return sign + (whole + "." + frac if frac else whole)
 
 
-def to_document(s: PnsSet) -> dict:
-    """Plain dict in the canonical layout, values still exact."""
-    return {
-        "parameters": list(s.parameters),
-        "universe": list(s.universe),
-        "cells": [
-            [{"t": c.triple.truth, "i": c.triple.indeterminacy,
-              "f": c.triple.falsity, "mu": c.mu} for c in row]
-            for row in s.cells
-        ],
-    }
-
-
 def from_document(doc) -> PnsSet:
     """Check a parsed document and build the set; all problems at once."""
     violations = _document_shape(doc)
@@ -120,54 +107,66 @@ def _memoized(number):
     return cached
 
 
+_CELL = '{"t": %s, "i": %s, "f": %s, "mu": %s}'
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _rows(s: PnsSet, number):
+    """Each row of a set's cells as one JSON array, one template per cell."""
+    for row in s.cells:
+        yield "[%s]" % ", ".join([
+            _CELL % (number(c.triple.truth), number(c.triple.indeterminacy),
+                     number(c.triple.falsity), number(c.mu))
+            for c in row])
+
+
 def _to_jsonable(obj, number) -> str:
     """Recursively dump to JSON text; `number` renders Fractions and floats.
 
+    Dispatch is on the exact type: a PnsSet renders its rows through
+    `_rows`, bool and None are constants, any other type raises TypeError.
     Give it one `_memoized` formatter per output, so that each distinct
     Fraction is formatted once however many calls the output takes.
     """
+    # frames go through %: "[%s]" % text copies text once, "[" + text + "]"
+    # twice, and at the top level text is the whole output
     def render(obj):
-        # the exact types come first; bool, None and subclasses fall through
         kind = type(obj)
-        if kind is Fraction:
+        if kind is Fraction or kind is float:
             return number(obj)
         if kind is list or kind is tuple:
-            return "[" + ", ".join(map(render, obj)) + "]"
+            return "[%s]" % ", ".join(map(render, obj))
         if kind is dict:
-            return "{" + ", ".join(f"{_quote(str(k))}: {render(v)}"
-                                   for k, v in obj.items()) + "}"
+            return "{%s}" % ", ".join(f"{_quote(k)}: {render(v)}"
+                                      for k, v in obj.items())
         if kind is str:
             return _quote(obj)
-        if isinstance(obj, bool) or obj is None:
-            return json.dumps(obj)
-        if isinstance(obj, int):
+        if kind is PnsSet:
+            return '{"parameters": %s, "universe": %s, "cells": [%s]}' % (
+                render(obj.parameters), render(obj.universe),
+                ", ".join(_rows(obj, number)))
+        if kind is int:
             return str(obj)
-        if isinstance(obj, (float, Fraction)):
-            return number(obj)
-        if isinstance(obj, str):
-            return _quote(obj)
-        if isinstance(obj, dict):
-            return render(dict(obj.items()))
-        if isinstance(obj, (list, tuple)):
-            return render(list(obj))
-        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+        if kind is bool or obj is None:
+            return _CONSTANTS[obj]
+        raise TypeError(f"cannot render {kind.__name__} as JSON")
     return render(obj)
 
 
-def dumps_pns(doc, number=decimal_string) -> str:
-    """Serialize a document with full control over number formatting.
+def dumps_pns(s: PnsSet, number=decimal_string) -> str:
+    """Serialize a set with full control over number formatting.
 
     One line per label list and per matrix row, so diffs stay readable.
     """
     number = _memoized(number)
-    last = len(doc["cells"]) - 1
+    last = len(s.cells) - 1
     return "\n".join([
         "{",
-        '  "parameters": ' + _to_jsonable(doc["parameters"], number) + ",",
-        '  "universe": ' + _to_jsonable(doc["universe"], number) + ",",
+        '  "parameters": ' + _to_jsonable(s.parameters, number) + ",",
+        '  "universe": ' + _to_jsonable(s.universe, number) + ",",
         '  "cells": [',
-        *("    " + _to_jsonable(row, number) + ("," if r < last else "")
-          for r, row in enumerate(doc["cells"])),
+        *("    " + row + ("," if r < last else "")
+          for r, row in enumerate(_rows(s, number))),
         "  ]",
         "}",
     ]) + "\n"
@@ -214,7 +213,7 @@ def load_pns(path) -> PnsSet:
 
 
 def save_pns(s: PnsSet, path) -> None:
-    Path(path).write_text(dumps_pns(to_document(s)))
+    Path(path).write_text(dumps_pns(s))
 
 
 CSV_COLUMNS = ("parameter", "element", "t", "i", "f", "mu")

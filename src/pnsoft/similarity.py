@@ -24,16 +24,24 @@ def phi(triple: NeutrosophicTriple) -> Fraction:
     return (triple.truth + triple.indeterminacy + triple.falsity) / 3
 
 
+#: Largest Minkowski order accepted. Exact powers d**p grow with p, so a
+#: select at p = 10000 takes seconds per candidate; beyond an order of a
+#: few hundred the distance is the row maximum to within float precision.
+MAX_ORDER = 1000
+
+
 def _check_p(p):
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise ValueError(f"p must be an integer >= 1, got {p!r}")
+    if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= MAX_ORDER:
+        raise ValueError(f"p must be an integer in [1, {MAX_ORDER}], got {p!r}")
 
 
 def value_similarity(f: PnsSet, g: PnsSet, p: int = 2):
     """Per parameter Minkowski similarity of the phi profiles over the universe.
 
     Returns (components, mean). With p=1 everything stays rational;
-    for p >= 2 the root goes through floats.
+    for p >= 2 the root goes through floats. The exact sum of d**p is first
+    divided by the p-th power of the row maximum, so the float it becomes
+    lies in [1, n] and cannot underflow to 0 however large p is.
     """
     _require_same_labels(f, g)
     _check_p(p)
@@ -44,8 +52,9 @@ def value_similarity(f: PnsSet, g: PnsSet, p: int = 2):
         if p == 1:
             m = 1 - sum(diffs) / n
         else:
-            total = float(sum(d ** p for d in diffs))
-            m = 1 - total ** (1 / p) / n ** (1 / p)
+            top = max(diffs)
+            scaled = float(sum(d ** p for d in diffs) / top ** p) if top else 0.0
+            m = 1 - scaled ** (1 / p) * float(top) / n ** (1 / p)
         components.append(m)
     return tuple(components), sum(components) / len(components)
 

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import pnsoft
 from pnsoft import equals, load_pns, loads_pns, make_profile, union
 from pnsoft.cli import main
+from pnsoft.similarity import MAX_ORDER
 
 from conftest import fixture
 
@@ -155,6 +161,22 @@ class TestDecide:
         for name in ("weighted_truth", "weighted_indeterminacy", "weighted_falsity"):
             assert doc[name]["rows"] == labels
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_a_separator_that_merges_labels_prints_nothing(self, tmp_path, capsys,
+                                                           fmt):
+        # "x" + "yz" and "xy" + "z" both flatten to "xyz"
+        cell = {"t": 0.5, "i": 0.2, "f": 0.3, "mu": 0.4}
+        paths = []
+        for name, labels in (("f.json", ["x", "xy"]), ("g.json", ["yz", "z"])):
+            path = tmp_path / name
+            path.write_text(json.dumps({"parameters": labels, "universe": ["u1"],
+                                        "cells": [[cell], [cell]]}))
+            paths.append(str(path))
+        assert main(["decide", *paths, "--separator", "", "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: separator '' does not keep pair labels distinct\n"
+
 
 class TestSimilarity:
     def test_table(self, capsys):
@@ -179,6 +201,15 @@ class TestSimilarity:
                      "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert 0 <= doc["overall"] <= 1
+
+    def test_order_up_to_the_cap(self, capsys):
+        assert main(["similarity", CARS_A, CARS_B, "-p", str(MAX_ORDER)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["similarity", CARS_A, CARS_B, "-p", str(MAX_ORDER + 1)])
+        assert exc.value.code == 2
+        assert (f"argument -p: p must lie in [1, {MAX_ORDER}], got {MAX_ORDER + 1}"
+                in capsys.readouterr().err)
 
 
 class TestSelect:
@@ -206,6 +237,45 @@ class TestSelect:
     def test_empty_directory(self, tmp_path, capsys):
         assert main(["select", MODEL, str(tmp_path)]) == 1
         assert "no candidate files" in capsys.readouterr().err
+
+    def test_unreadable_directory(self, tmp_path, capsys, monkeypatch):
+        def refuse(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "iterdir", refuse)
+        assert main(["select", MODEL, str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read directory {tmp_path}: "
+            f"[Errno 13] Permission denied: '{tmp_path}'\n")
+
+
+class TestWriteFailures:
+    """Output that cannot be written ends the run with status 1, no traceback."""
+
+    def decide(self, stdout):
+        src = str(Path(pnsoft.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-m", "pnsoft.cli", "decide", HOUSES_A, HOUSES_B],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+
+    def test_a_closed_pipe_exits_quietly(self):
+        read, write = os.pipe()
+        os.close(read)  # like `| head -c 100` once head has quit
+        try:
+            done = self.decide(write)
+        finally:
+            os.close(write)
+        assert done.returncode == 1
+        assert done.stderr == ""  # no traceback, no "Exception ignored"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_full_device_ends_in_one_error_line(self):
+        with open("/dev/full", "w") as full:
+            done = self.decide(full)
+        assert done.returncode == 1
+        assert done.stderr == ("error: cannot write output: "
+                               "[Errno 28] No space left on device\n")
 
 
 class TestErrors:

@@ -17,10 +17,12 @@ from hypothesis import example, given, strategies as st
 
 import pnsoft.cli
 import pnsoft.jsonio
-from pnsoft import decimal_string, loads_csv, loads_pns
+from pnsoft import PnsSet, decimal_string, loads_csv, loads_pns
 from pnsoft.algebra import parse_decimal
-from pnsoft.cli import _json, _num, main
+from pnsoft.cli import _json, _num, _six_decimals, main
 from pnsoft.jsonio import MEMO_CAP, _memoized, _to_jsonable
+
+from conftest import mixed_pairs
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -113,16 +115,31 @@ def longhand_num(x):
     return "%.4f" % float(x)
 
 
-class Half(Fraction):
-    """A Fraction subclass: rendered, never memoized."""
+def longhand_to_document(s):
+    """A set as one dict per cell, the copy the renderers used to walk."""
+    return {
+        "parameters": list(s.parameters),
+        "universe": list(s.universe),
+        "cells": [
+            [{"t": c.triple.truth, "i": c.triple.indeterminacy,
+              "f": c.triple.falsity, "mu": c.mu} for c in row]
+            for row in s.cells
+        ],
+    }
 
 
-class Tag(str):
-    pass
-
-
-class Row(list):
-    pass
+def longhand_dumps(doc, number=decimal_string):
+    last = len(doc["cells"]) - 1
+    return "\n".join([
+        "{",
+        '  "parameters": ' + longhand_to_jsonable(doc["parameters"], number) + ",",
+        '  "universe": ' + longhand_to_jsonable(doc["universe"], number) + ",",
+        '  "cells": [',
+        *("    " + longhand_to_jsonable(row, number) + ("," if r < last else "")
+          for r, row in enumerate(doc["cells"])),
+        "  ]",
+        "}",
+    ]) + "\n"
 
 
 def mixed_values(rng):
@@ -131,8 +148,8 @@ def mixed_values(rng):
     distinct = [Fraction(k, 7919) for k in range(MEMO_CAP + 300)]
     values = distinct + rng.sample(distinct, 2000) + [
         Fraction(1), 1, 1.0, True, False, Fraction(0), 0, 0.0, None,
-        Fraction(1, 2), 0.5, Half(1, 2), Fraction(1, 3), 1 / 3, -0.0,
-        Fraction(7, 20), Fraction(1, 10**12), "0.5", "", "é", Tag("t"),
+        Fraction(1, 2), 0.5, Fraction(1, 3), 1 / 3, -0.0,
+        Fraction(7, 20), Fraction(1, 10**12), "0.5", "", "é",
     ]
     rng.shuffle(values)
     return values
@@ -142,11 +159,11 @@ def mixed_document(rng):
     values = mixed_values(rng)
     return {
         "flat": values,
-        "nested": [values[:50], tuple(values[50:90]), Row(values[90:120]),
-                   {"t": values[0], "i": (values[1], [values[2]]), 3: None}],
+        "nested": [values[:50], tuple(values[50:90]), list(values[90:120]),
+                   {"t": values[0], "i": (values[1], [values[2]]), "3": None}],
         "cells": [[{"t": v, "i": w, "f": Fraction(1, 2), "mu": 1}
                    for v, w in zip(values[:400], values[400:800])]],
-        Tag("x"): Fraction(1),
+        "x": Fraction(1),
         "empty": [[], {}, ()],
     }
 
@@ -176,6 +193,46 @@ def test_memoized_table_numbers_match_the_longhand_ones(seed):
 def test_unrenderable_objects_still_raise():
     with pytest.raises(TypeError, match="cannot render set"):
         _json({"x": [Fraction(1), {1, 2}]})
+
+
+class Half(Fraction):
+    pass
+
+
+class Tag(str):
+    pass
+
+
+class Row(list):
+    pass
+
+
+@pytest.mark.parametrize("obj", [
+    Half(1, 2), Tag("t"), Row(), collections.OrderedDict(), {1: "int key"},
+], ids=["fraction", "str", "list", "dict", "int-key"])
+def test_subclasses_are_not_rendered(obj):
+    with pytest.raises(TypeError):
+        _json([obj])
+
+
+@st.composite
+def two_decimal_sets(draw):
+    degree = st.integers(0, 100).map(lambda k: Fraction(k, 100))
+    params = [f"e{k + 1}" for k in range(draw(st.integers(1, 4)))]
+    universe = [f"u{j + 1}" for j in range(draw(st.integers(1, 6)))]
+    rows = [[tuple(draw(degree) for _ in range(4)) for _ in universe]
+            for _ in params]
+    return PnsSet.from_rows(params, universe, rows)
+
+
+@given(st.one_of(mixed_pairs().map(lambda pair: pair[0]), two_decimal_sets()))
+def test_sets_render_as_their_documents_did(s):
+    doc = longhand_to_document(s)
+    assert _json(s) == longhand_json(doc)
+    assert _json({"product": s, "n": 1}) == longhand_json({"product": doc, "n": 1})
+    assert pnsoft.jsonio.dumps_pns(s) == longhand_dumps(doc)
+    assert (pnsoft.jsonio.dumps_pns(s, _six_decimals)
+            == longhand_dumps(doc, lambda x: "%.6f" % float(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,17 +318,16 @@ def test_dumps_formats_each_distinct_value_once(seeded_pair, monkeypatch,
                                                 tmp_path):
     pair, _ = seeded_pair
     s = loads_pns(number_text(pair[0]))
-    doc = pnsoft.jsonio.to_document(s)
-    values = {exact(x) for row in doc["cells"] for cell in row for x in cell.values()}
+    values = {exact(x) for row in s.cells for c in row for x in (*c.triple, c.mu)}
     calls = collections.Counter()
 
     def counted(x):
         calls[exact(x)] += 1
         return decimal_string(x)
 
-    text = pnsoft.jsonio.dumps_pns(doc, counted)
-    assert text == pnsoft.jsonio.dumps_pns(doc)
-    assert len(doc["cells"]) > 1 and sorted(calls) == sorted(values)
+    text = pnsoft.jsonio.dumps_pns(s, counted)
+    assert text == pnsoft.jsonio.dumps_pns(s)
+    assert len(s.cells) > 1 and sorted(calls) == sorted(values)
     assert max(calls.values()) == 1, calls.most_common(3)
     # save_pns renders through decimal_string, one scale lookup per call
     scales = counting(monkeypatch, pnsoft.jsonio, "_decimal_scale", int)

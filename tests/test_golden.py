@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from pnsoft import dumps_pns, load_pns, to_document
+from pnsoft import dumps_pns, load_pns
 from pnsoft.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,7 +81,7 @@ def test_cli_stdout_is_byte_identical(name, monkeypatch, capsys):
 
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_serializer_is_byte_identical(fixture):
-    text = dumps_pns(to_document(load_pns(ROOT / fixture)))
+    text = dumps_pns(load_pns(ROOT / fixture))
     assert text == (GOLDEN / f"{_dumps_name(fixture)}.json").read_text()
 
 
@@ -97,7 +97,7 @@ def _write_all():
         (GOLDEN / f"{name}.out").write_text(out.getvalue())
     for fixture in FIXTURES:
         (GOLDEN / f"{_dumps_name(fixture)}.json").write_text(
-            dumps_pns(to_document(load_pns(fixture))))
+            dumps_pns(load_pns(fixture)))
 
 
 if __name__ == "__main__":

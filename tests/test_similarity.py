@@ -1,3 +1,4 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from pnsoft import (
     similarity,
     value_similarity,
 )
+from pnsoft.similarity import MAX_ORDER
 
 from _reference import brute_similarity
 from conftest import load_fixture
@@ -81,6 +83,29 @@ class TestComponents:
         for bad in (0, -1, 2.5, True, "2"):
             with pytest.raises(ValueError, match="p must be"):
                 value_similarity(f, g, p=bad)
+
+    def test_order_is_capped(self, cars):
+        f, g = cars
+        value_similarity(f, g, p=MAX_ORDER)
+        with pytest.raises(ValueError, match=f"p must be an integer in \\[1, {MAX_ORDER}\\]"):
+            value_similarity(f, g, p=MAX_ORDER + 1)
+
+    @pytest.mark.parametrize("p", [2, 3, 50, 500, MAX_ORDER])
+    def test_large_orders_do_not_underflow(self, cars, p):
+        # below about 1e-308 a float sum of d**p reads 0 and every
+        # component 1; the reference keeps 60 digits throughout
+        f, g = cars
+        expected = []
+        with localcontext() as context:
+            context.prec = 60
+            for fr, gr in zip(f.cells, g.cells):
+                total = sum(abs(phi(a.triple) - phi(b.triple)) ** p
+                            for a, b in zip(fr, gr))
+                mean = Decimal(total.numerator) / Decimal(total.denominator) / len(fr)
+                expected.append(float(1 - mean ** (Decimal(1) / p)))
+        comps, _ = value_similarity(f, g, p=p)
+        assert comps == pytest.approx(expected, rel=0, abs=1e-12)
+        assert all(c < 0.95 for c in comps)
 
     def test_degenerate_possibility_row(self):
         f = PnsSet.from_rows(["e1"], ["u1"], [[(0.5, 0.5, 0.5, 0)]])
