@@ -118,7 +118,9 @@ class TestDecimalString:
 class TestJsonRoundTrip:
     @given(s=pns_sets())
     def test_document_round_trip(self, s):
-        assert loads_pns(dumps_pns(s)) == s
+        # rendering is a fixed point: text read back renders to the same bytes
+        text = dumps_pns(s)
+        assert dumps_pns(loads_pns(text)) == text
 
     @given(s=pns_sets())
     def test_text_round_trip_is_exact(self, s):
