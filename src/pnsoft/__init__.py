@@ -1,6 +1,6 @@
 """Possibility neutrosophic soft sets.
 
-Set algebra under pluggable triangular norm families, AND/OR products over
+Set algebra under named triangular norm families, AND/OR products over
 parameter pairs, weighted-matrix decision making and similarity-based
 selection. All membership degrees are exact fractions internally.
 """
@@ -15,7 +15,6 @@ from .algebra import (
     NeutrosophicTriple,
     NormProfile,
     as_unit,
-    check_profile,
     make_profile,
     n_conorm,
     n_norm,

@@ -6,7 +6,7 @@ class PnsError(Exception):
 
 
 class ProfileError(PnsError):
-    """A norm profile violates one of the required axioms."""
+    """A norm profile names a family this package does not have."""
 
 
 class IncompatibleError(PnsError):

@@ -17,9 +17,6 @@ from .algebra import (
     ONE,
     ZERO,
     as_unit,
-    n_conorm,
-    n_norm,
-    negate_triple,
     triple_leq,
 )
 from .errors import IncompatibleError, SchemaError
@@ -85,8 +82,9 @@ def _trusted_cell(truth, indeterminacy, falsity, mu) -> PossValue:
     """A cell built without the range checks of its constructors.
 
     Only for degrees that are already checked Fractions: those `_build`
-    has just passed through as_unit, or those the products pick from
-    checked cells. Equal to, and hashing like, the checked cell.
+    has just passed through as_unit, those the products pick from checked
+    cells, and those the named norm families compute from them, which stay
+    exact Fractions in [0, 1]. Equal to, and hashing like, the checked cell.
     """
     triple = _new(NeutrosophicTriple)
     _set(triple, "truth", truth)
@@ -237,9 +235,14 @@ def _require_same_labels(f: PnsSet, g: PnsSet):
             f"got {f.parameters}x{f.universe} vs {g.parameters}x{g.universe}")
 
 
-def _cellwise(f: PnsSet, g: PnsSet, op) -> PnsSet:
+def _cellwise(f: PnsSet, g: PnsSet, on_truth, on_other) -> PnsSet:
+    """Combine matching cells: on_truth on truth and mu, on_other on the rest."""
     cells = tuple(
-        tuple(op(a, b) for a, b in zip(fr, gr))
+        tuple(_trusted_cell(on_truth(a.triple.truth, b.triple.truth),
+                            on_other(a.triple.indeterminacy, b.triple.indeterminacy),
+                            on_other(a.triple.falsity, b.triple.falsity),
+                            on_truth(a.mu, b.mu))
+              for a, b in zip(fr, gr))
         for fr, gr in zip(f.cells, g.cells)
     )
     return PnsSet(parameters=f.parameters, universe=f.universe, cells=cells)
@@ -264,25 +267,22 @@ def union(f: PnsSet, g: PnsSet, profile: NormProfile | None = None) -> PnsSet:
     """Cellwise n-conorm on triples, t-conorm on possibility degrees."""
     _require_same_labels(f, g)
     p = profile if profile is not None else DEFAULT_PROFILE
-    return _cellwise(
-        f, g, lambda a, b: PossValue(n_conorm(a.triple, b.triple, p),
-                                     p.tconorm(a.mu, b.mu)))
+    return _cellwise(f, g, p.tconorm, p.tnorm)
 
 
 def intersection(f: PnsSet, g: PnsSet, profile: NormProfile | None = None) -> PnsSet:
     """Cellwise n-norm on triples, t-norm on possibility degrees."""
     _require_same_labels(f, g)
     p = profile if profile is not None else DEFAULT_PROFILE
-    return _cellwise(
-        f, g, lambda a, b: PossValue(n_norm(a.triple, b.triple, p),
-                                     p.tnorm(a.mu, b.mu)))
+    return _cellwise(f, g, p.tnorm, p.tconorm)
 
 
 def complement(f: PnsSet, profile: NormProfile | None = None) -> PnsSet:
     """Negate every triple and every possibility degree."""
-    p = profile if profile is not None else DEFAULT_PROFILE
+    n = (profile if profile is not None else DEFAULT_PROFILE).scalar_negation
     cells = tuple(
-        tuple(PossValue(negate_triple(c.triple, p), p.scalar_negation(c.mu))
+        tuple(_trusted_cell(c.triple.falsity, n(c.triple.indeterminacy),
+                            c.triple.truth, n(c.mu))
               for c in row)
         for row in f.cells
     )

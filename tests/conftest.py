@@ -42,6 +42,11 @@ def random_pair(rng, n_params=None, n_elems=None):
     return a, b
 
 
+#: every pairing of the named families, each with the standard negation
+PROFILES = [pnsoft.make_profile(t, s)
+            for t in sorted(pnsoft.TNORMS) for s in sorted(pnsoft.TCONORMS)]
+
+
 #: denominators the k/20 strategies never reach: thirds, sevenths, six
 #: decimals and large primes, next to 20 so that ties still come up
 MIXED_DENOMINATORS = (1, 2, 3, 7, 20, 10**6, 9973, 999983, 2**61 - 1)

@@ -4,10 +4,16 @@ Each test is parametrized over entry point x field, so a check that one
 path dropped shows up as a failing (entry point, field) pair.
 """
 
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pnsoft.algebra
 import pnsoft.sets
@@ -16,6 +22,7 @@ from pnsoft import (
     PnsSet,
     PossValue,
     SchemaError,
+    decimal_string,
     load_pns,
     loads_csv,
     loads_pns,
@@ -212,3 +219,91 @@ def test_poss_value_takes_a_plain_tuple_triple():
     assert cell == PossValue(NeutrosophicTriple(0.5, 0.2, 0.6), Fraction(4, 5))
     with pytest.raises(ValueError, match=r"^truth must lie in \[0, 1\], got 1.5$"):
         PossValue((1.5, 0, 0), 0)
+
+
+# ---------------------------------------------------------------------------
+# hostile input: fixture bytes with spliced-in trouble
+
+CARS = fixture("cars_assessment_a.json")
+
+
+def _as_csv(s):
+    lines = [",".join(("parameter", "element") + FIELDS)]
+    for p, row in zip(s.parameters, s.cells):
+        for u, c in zip(s.universe, row):
+            lines.append(",".join([p, u] + [decimal_string(x) for x in (*c.triple, c.mu)]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+SOURCES = {"json": CARS.read_bytes(), "csv": _as_csv(load_pns(CARS))}
+NUMBER = re.compile(rb"\d+(?:\.\d+)?")
+
+DEPTHS = st.sampled_from([1, 3, 1500, 5000])
+LENGTHS = st.sampled_from([30, 4200, 4400, 20000])
+HOSTILE = (
+    st.sampled_from([
+        b"\xef\xbb\xbf", b"\xff\xfe", b"\xfe\xff",      # byte order marks
+        b",", b";", b"\t", b";,", b",;", b"0,5", b'"',     # mixed delimiters
+        b"NaN", b"-NaN", b"nan", b"Infinity", b"-Infinity", b"inf", b"-inf",
+        b'"NaN"', b'"Infinity"', b"1e400", b"1E-999999", b"1e+100001", b"1/0",
+    ])
+    # nesting from a stray list to beyond the recursion limit
+    | DEPTHS.map(lambda n: b"[" * n + b"0.5" + b"]" * n)
+    | DEPTHS.map(lambda n: b'{"t": ' * n)
+    # digits on both sides of the int-to-str conversion limit (4300)
+    | LENGTHS.map(lambda n: b"0." + b"1" * n)
+    | LENGTHS.map(lambda n: b"9" * n)
+)
+
+
+@st.composite
+def hostile_documents(draw):
+    """(kind, bytes): a fixture with one to four hostile splices.
+
+    A splice either replaces one number literal, so that the damage gets
+    past the parser, or lands at a random offset, where it may overwrite a
+    few bytes.
+    """
+    kind = draw(st.sampled_from(sorted(SOURCES)))
+    data = SOURCES[kind]
+    for _ in range(draw(st.integers(1, 4))):
+        numbers = [m.span() for m in NUMBER.finditer(data)]
+        if numbers and draw(st.booleans()):
+            at, end = draw(st.sampled_from(numbers))
+        else:
+            at = draw(st.integers(0, len(data)))
+            end = at + draw(st.integers(0, 8))
+        data = data[:at] + draw(HOSTILE) + data[end:]
+    return kind, data
+
+
+@settings(max_examples=150, deadline=2000)
+@given(document=hostile_documents())
+def test_hostile_text_raises_only_schema_error(document):
+    kind, data = document
+    loads = {"json": loads_pns, "csv": loads_csv}[kind]
+    try:
+        loads(data.decode("utf-8", errors="replace"))
+    except SchemaError:
+        pass
+
+
+@settings(max_examples=60, deadline=2000)
+@given(document=hostile_documents(),
+       command=st.sampled_from(["validate", "complement", "union"]))
+def test_hostile_files_end_the_cli_in_at_most_one_error_line(document, command):
+    kind, data = document
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"hostile.{kind}"
+        path.write_bytes(data)
+        argv = [command, str(path)] + ([str(CARS)] if command == "union" else [])
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # argparse
+                status = exc.code
+    errors = err.getvalue()
+    assert status in (0, 1, 2), errors
+    assert "Traceback" not in errors
+    assert sum(line.startswith("error:") for line in errors.splitlines()) <= 1, errors

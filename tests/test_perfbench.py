@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +36,20 @@ def test_every_traced_name_still_resolves():
         if owner is None:
             missing.add((module_name, attribute))
     assert missing <= known_stale, missing - known_stale
+
+
+def test_a_traced_union_records_the_layers_it_passes(tmp_path):
+    # the per-layer metrics of setops are read from these spans; one that
+    # is never recorded would read 0 without any error
+    fixtures = ROOT / "src" / "pnsoft" / "fixtures"
+    spans_path = tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, "perfbench/traced_cli.py", str(spans_path), "--", "union",
+         str(fixtures / "cars_assessment_a.json"), str(fixtures / "cars_assessment_b.json"),
+         "--tnorm", "product", "--tconorm", "probsum"],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    names = {span[2] for span in json.loads(spans_path.read_text())}
+    assert {"algebra.make_profile", "sets.union", "jsonio.load_any",
+            "sets.from_rows"} <= names, names

@@ -14,6 +14,9 @@ from pnsoft import (
     intersection,
     is_subset,
     make_profile,
+    n_conorm,
+    n_norm,
+    negate_triple,
     null_set,
     union,
     universal_set,
@@ -21,7 +24,7 @@ from pnsoft import (
 )
 
 from _reference import as_map, brute_complement, brute_intersection, brute_union
-from conftest import load_fixture
+from conftest import PROFILES, load_fixture, mixed_pairs
 
 units = st.integers(0, 20).map(lambda k: Fraction(k, 20))
 
@@ -245,3 +248,34 @@ class TestOperators:
         p = make_profile("product", "probsum")
         assert not equals(union(s, s, p), s)
         assert union(s, s, p).cell("e1", "u1").triple.truth == Fraction(3, 4)
+
+
+def _common_rows(a, b):
+    # mixed_pairs draws the parameter counts independently; keep the rows
+    # the two sets share, e1 to ek
+    k = min(len(a.parameters), len(b.parameters))
+    return tuple(PnsSet(parameters=s.parameters[:k], universe=s.universe,
+                        cells=s.cells[:k]) for s in (a, b))
+
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=mixed_pairs())
+def test_operators_build_cells_like_the_checked_constructors(pair):
+    f, g = _common_rows(*pair)
+    for p in PROFILES:
+        results = [
+            (union(f, g, p), lambda a, b: PossValue(n_conorm(a.triple, b.triple, p),
+                                                    p.tconorm(a.mu, b.mu))),
+            (intersection(f, g, p), lambda a, b: PossValue(n_norm(a.triple, b.triple, p),
+                                                           p.tnorm(a.mu, b.mu))),
+            (complement(f, p), lambda a, _: PossValue(negate_triple(a.triple, p),
+                                                      p.scalar_negation(a.mu))),
+        ]
+        for result, checked_cell in results:
+            for row, frow, grow in zip(result.cells, f.cells, g.cells):
+                for cell, a, b in zip(row, frow, grow):
+                    checked = checked_cell(a, b)
+                    assert cell == checked
+                    assert hash(cell) == hash(checked)
+                    assert all(type(x) is Fraction for x in (*cell.triple, cell.mu))
