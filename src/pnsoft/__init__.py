@@ -23,7 +23,6 @@ from .algebra import (
 )
 from .decision import (
     DecisionReport,
-    WeightedMatrix,
     decide,
     decision_scores,
     row_scores,

@@ -113,11 +113,8 @@ class NeutrosophicTriple:
         object.__setattr__(self, "indeterminacy", as_unit(self.indeterminacy, "indeterminacy"))
         object.__setattr__(self, "falsity", as_unit(self.falsity, "falsity"))
 
-    def as_tuple(self):
-        return (self.truth, self.indeterminacy, self.falsity)
-
     def __iter__(self):
-        return iter(self.as_tuple())
+        return iter((self.truth, self.indeterminacy, self.falsity))
 
 
 #: top and bottom of the triple order

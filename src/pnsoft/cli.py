@@ -67,11 +67,11 @@ def _set_table(s, num) -> str:
     return _table(headers, rows)
 
 
-def _matrix_table(m, labels, num) -> str:
-    """A weighted matrix as a table, its rows named by the flat `labels`."""
-    return _table([""] + list(m.columns),
+def _matrix_table(rows, product, num) -> str:
+    """Weighted matrix rows as a table labelled like the flat `product`."""
+    return _table([""] + list(product.universe),
                   [[label] + [num(v) for v in row]
-                   for label, row in zip(labels, m.entries)])
+                   for label, row in zip(product.parameters, rows)])
 
 
 def _emit_set(s, args) -> None:
@@ -173,10 +173,10 @@ def _cmd_decide(args) -> int:
                 ("falsity", report.weighted_falsity))
     if args.format == "json":
         doc = {"universe": report.universe, "product": product}
-        for name, matrix in matrices:
+        for name, rows in matrices:
             doc[f"weighted_{name}"] = {"rows": product.parameters,
-                                       "columns": matrix.columns,
-                                       "entries": matrix.entries}
+                                       "columns": product.universe,
+                                       "entries": rows}
         doc.update(truth_scores=report.truth_scores,
                    indeterminacy_scores=report.indeterminacy_scores,
                    falsity_scores=report.falsity_scores,
@@ -188,9 +188,9 @@ def _cmd_decide(args) -> int:
     num = _memoized(_num)
     print("product:")
     print(_set_table(product, num))
-    for name, matrix in matrices:
+    for name, rows in matrices:
         print(f"\nweighted {name}:")
-        print(_matrix_table(matrix, product.parameters, num))
+        print(_matrix_table(rows, product, num))
     print()
     scores = _table(
         [""] + list(report.universe),
@@ -242,7 +242,11 @@ def _gather_candidates(paths):
     files = []
     for raw in paths:
         path = Path(raw)
-        if path.is_dir():
+        try:
+            is_dir = path.is_dir()
+        except OSError:  # such as a name too long; loading it says why
+            is_dir = False
+        if is_dir:
             try:
                 inside = sorted(p for p in path.iterdir()
                                 if p.suffix.lower() in (".json", ".csv"))

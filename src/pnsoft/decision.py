@@ -17,23 +17,19 @@ from .sets import PnsSet
 
 
 @dataclass(frozen=True)
-class WeightedMatrix:
-    """One component of the product blended with possibility degrees."""
-
-    rows: tuple      # pair labels, e.g. ("e1", "e2")
-    columns: tuple   # universe labels
-    entries: tuple   # |rows| x |columns| Fractions
-
-
-@dataclass(frozen=True)
 class DecisionReport:
-    """Everything the pipeline computed, kept for auditability."""
+    """Everything the pipeline computed, kept for auditability.
+
+    Each weighted matrix is a tuple of rows of Fractions indexed like
+    `product.cells`: one row per pair in `product.pairs`, one entry per
+    element of `universe`.
+    """
 
     universe: tuple
     product: ProductPnsSet
-    weighted_truth: WeightedMatrix
-    weighted_indeterminacy: WeightedMatrix
-    weighted_falsity: WeightedMatrix
+    weighted_truth: tuple
+    weighted_indeterminacy: tuple
+    weighted_falsity: tuple
     truth_scores: tuple
     indeterminacy_scores: tuple
     falsity_scores: tuple
@@ -45,8 +41,10 @@ class DecisionReport:
 def weighted_matrices(p: ProductPnsSet):
     """Blend each component with the cell possibility m.
 
-    Truth uses the probabilistic sum t + m - t*m so high possibility lifts
-    the entry toward 1; indeterminacy and falsity just scale by m.
+    Returns the truth, indeterminacy and falsity matrices, each a tuple of
+    rows indexed like `p.cells`. Truth uses the probabilistic sum
+    t + m - t*m so high possibility lifts the entry toward 1;
+    indeterminacy and falsity just scale by m.
     Each entry is computed once from the integer numerators and
     denominators, and equal entries share one Fraction.
     """
@@ -75,21 +73,19 @@ def weighted_matrices(p: ProductPnsSet):
         wt.append(tuple(rt))
         wi.append(tuple(ri))
         wf.append(tuple(rf))
-
-    def matrix(entries):
-        return WeightedMatrix(rows=p.pairs, columns=p.universe, entries=tuple(entries))
-    return matrix(wt), matrix(wi), matrix(wf)
+    return tuple(wt), tuple(wi), tuple(wf)
 
 
-def row_scores(w: WeightedMatrix) -> tuple:
+def row_scores(rows) -> tuple:
     """Per element sum of the row maxima it attains.
 
-    In each row, every column whose entry equals the row maximum adds that
-    entry to the column's score. Ties all count; comparison is exact, which
-    the Fraction representation keeps meaningful.
+    `rows` is a non-empty sequence of equal-length rows, one entry per
+    element. In each row, every column whose entry equals the row maximum
+    adds that entry to the column's score. Ties all count; comparison is
+    exact, which the Fraction representation keeps meaningful.
     """
-    totals = [Fraction(0)] * len(w.columns)
-    for row in w.entries:
+    totals = [Fraction(0)] * len(rows[0])
+    for row in rows:
         best = max(row)
         for j, value in enumerate(row):
             if value == best:

@@ -153,12 +153,12 @@ def _to_jsonable(obj, number) -> str:
     return render(obj)
 
 
-def dumps_pns(s: PnsSet, number=decimal_string) -> str:
-    """Serialize a set with full control over number formatting.
+def dumps_pns(s: PnsSet) -> str:
+    """Serialize a set with every number as an exact decimal where one exists.
 
     One line per label list and per matrix row, so diffs stay readable.
     """
-    number = _memoized(number)
+    number = _memoized(decimal_string)
     last = len(s.cells) - 1
     return "\n".join([
         "{",
@@ -232,9 +232,11 @@ def load_csv(path) -> PnsSet:
 
 def loads_csv(text: str) -> PnsSet:
     text = text.removeprefix("\ufeff")  # byte order mark written by spreadsheets
-    first = text.splitlines()[0] if text.splitlines() else ""
+    lines = io.StringIO(text)
+    first = next((line for line in lines if line.strip()), "")  # the header
     delimiter = ";" if first.count(";") >= first.count(",") and ";" in first else ","
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    lines.seek(0)
+    reader = csv.reader(lines, delimiter=delimiter)
     rows = [row for row in reader if any(field.strip() for field in row)]
     if not rows:
         raise SchemaError("empty CSV")

@@ -52,10 +52,10 @@ class PnsSet:
         """Build a set from nested (t, i, f, mu) cells with full checking.
 
         `rows` is one sequence per parameter, each holding one cell per
-        universe element. A cell may be a PossValue, a (triple, mu) pair, a
-        flat (t, i, f, mu) tuple or a {"t", "i", "f", "mu"} mapping. Shape
-        or range problems raise one SchemaError listing every violation,
-        each naming the offending coordinates.
+        universe element. A cell may be a PossValue, a flat (t, i, f, mu)
+        sequence or a {"t", "i", "f", "mu"} mapping. Shape or range
+        problems raise one SchemaError listing every violation, each naming
+        the offending coordinates.
         """
         parameters = tuple(str(p) for p in parameters)
         universe = tuple(str(u) for u in universe)
@@ -112,8 +112,7 @@ def _check_cell(cell):
     """(checked cell, ()) for a well-formed raw cell, else (None, problems).
 
     A cell is a PossValue, which its constructor checked, a {"t", "i",
-    "f", "mu"} mapping, a flat (t, i, f, mu) sequence or a ((t, i, f), mu)
-    pair.
+    "f", "mu"} mapping or a flat (t, i, f, mu) sequence.
     """
     if isinstance(cell, PossValue):
         return cell, ()
@@ -122,12 +121,10 @@ def _check_cell(cell):
     else:
         try:
             raw = () if isinstance(cell, str) else tuple(cell)
-            if len(raw) == 2:
-                raw = (*raw[0], raw[1])
         except TypeError:
             raw = ()
         if len(raw) != 4:
-            return None, ["expected {t, i, f, mu}, (t, i, f, mu) or ((t, i, f), mu)"]
+            return None, ["expected {t, i, f, mu} or (t, i, f, mu)"]
     degrees, problems = [], []
     for field, value in zip(_FIELDS, raw):
         if value is _MISSING:

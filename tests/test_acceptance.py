@@ -190,7 +190,7 @@ def test_criterion_2_decision_pipeline():
             ("weighted truth", report.weighted_truth, REF_WEIGHTED_TRUTH),
             ("weighted indeterminacy", report.weighted_indeterminacy, REF_WEIGHTED_INDET),
             ("weighted falsity", report.weighted_falsity, REF_WEIGHTED_FALSITY)):
-        for r, row in enumerate(matrix.entries):
+        for r, row in enumerate(matrix):
             for c, value in enumerate(row):
                 if abs(value - Fraction(ref[r][c])) > tol:
                     failures.append(

@@ -77,8 +77,8 @@ class TestTriple:
 
     def test_tuple_round_trip(self):
         a = T(0.5, 0.2, 0.6)
-        assert a.as_tuple() == (Fraction(1, 2), Fraction(1, 5), Fraction(3, 5))
-        assert tuple(a) == a.as_tuple()
+        assert tuple(a) == (Fraction(1, 2), Fraction(1, 5), Fraction(3, 5))
+        assert T(*a) == a
 
     def test_order_examples(self):
         assert triple_leq(T(0.5, 0.2, 0.6), T(0.6, 0.1, 0.5))

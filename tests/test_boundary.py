@@ -45,11 +45,6 @@ def from_rows_flat(cells):
     return PnsSet.from_rows(["e1"], UNIVERSE, [[flat(c) for c in cells]])
 
 
-def from_rows_pair(cells):
-    return PnsSet.from_rows(["e1"], UNIVERSE,
-                            [[((c["t"], c["i"], c["f"]), c["mu"]) for c in cells]])
-
-
 def from_rows_dict(cells):
     return PnsSet.from_rows(["e1"], UNIVERSE, [[dict(c) for c in cells]])
 
@@ -79,8 +74,7 @@ def validate_set(cells):
                            cells=(tuple(flat(c) for c in cells),)))
 
 
-BUILDERS = [from_rows_flat, from_rows_pair, from_rows_dict, via_loads_pns,
-            via_loads_csv]
+BUILDERS = [from_rows_flat, from_rows_dict, via_loads_pns, via_loads_csv]
 ENTRY_POINTS = BUILDERS + [validate_dict, validate_set]
 
 
@@ -183,7 +177,7 @@ def one_row(cells):
     return '{"parameters": ["e1"], "universe": ["u1"], "cells": %s}' % cells
 
 
-CELL_SHAPE = "expected {t, i, f, mu}, (t, i, f, mu) or ((t, i, f), mu)"
+CELL_SHAPE = "expected {t, i, f, mu} or (t, i, f, mu)"
 LAYOUTS = {
     "no-universe": ('{"parameters": ["e1"], "cells": [[]]}',
                     "invalid document: missing key 'universe'"),
@@ -193,6 +187,7 @@ LAYOUTS = {
     "row-object": (one_row('[{"t": 0.5}]'), "row 'e1' is not a list"),
     "cell-string": (one_row('[["0.5"]]'), f"cell (e1, u1): {CELL_SHAPE}"),
     "cell-three": (one_row("[[[0.5, 0.2, 0.6]]]"), f"cell (e1, u1): {CELL_SHAPE}"),
+    "cell-pair": (one_row("[[[[0.5, 0.2, 0.6], 0.8]]]"), f"cell (e1, u1): {CELL_SHAPE}"),
 }
 
 

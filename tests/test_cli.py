@@ -402,6 +402,17 @@ class TestSelectWithABadCandidate:
         assert "JSON parse error" in zz["error"]
         assert doc["selected"] == ["applicant_4"]
 
+    def test_a_path_that_cannot_be_inspected_is_an_error_row(self, tmp_path, capsys):
+        # a name beyond NAME_MAX makes even the is-it-a-directory check fail
+        name = "a" * 300
+        good = str(fixture("applicants") / "applicant_4.json")
+        assert main(["select", MODEL, str(tmp_path / f"{name}.json"), good]) == 0
+        out, err = capsys.readouterr()
+        assert "cannot write output" not in err
+        [row] = [line for line in out.splitlines() if line.startswith(name)]
+        assert "cannot read" in row
+        assert "selected: applicant_4" in out
+
     def test_only_bad_candidates_exit_1(self, tmp_path, capsys):
         (tmp_path / "zz.json").write_text("{")
         assert main(["select", MODEL, str(tmp_path)]) == 1

@@ -231,8 +231,6 @@ def test_sets_render_as_their_documents_did(s):
     assert _json(s) == longhand_json(doc)
     assert _json({"product": s, "n": 1}) == longhand_json({"product": doc, "n": 1})
     assert pnsoft.jsonio.dumps_pns(s) == longhand_dumps(doc)
-    assert (pnsoft.jsonio.dumps_pns(s, _six_decimals)
-            == longhand_dumps(doc, lambda x: "%.6f" % float(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +317,9 @@ def test_dumps_formats_each_distinct_value_once(seeded_pair, monkeypatch,
     pair, _ = seeded_pair
     s = loads_pns(number_text(pair[0]))
     values = {exact(x) for row in s.cells for c in row for x in (*c.triple, c.mu)}
-    calls = collections.Counter()
-
-    def counted(x):
-        calls[exact(x)] += 1
-        return decimal_string(x)
-
-    text = pnsoft.jsonio.dumps_pns(s, counted)
-    assert text == pnsoft.jsonio.dumps_pns(s)
+    text = pnsoft.jsonio.dumps_pns(s)
+    calls = counting(monkeypatch, pnsoft.jsonio, "decimal_string", exact)
+    assert pnsoft.jsonio.dumps_pns(s) == text
     assert len(s.cells) > 1 and sorted(calls) == sorted(values)
     assert max(calls.values()) == 1, calls.most_common(3)
     # save_pns renders through decimal_string, one scale lookup per call

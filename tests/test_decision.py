@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from pnsoft import (
     IncompatibleError,
     PnsSet,
-    WeightedMatrix,
     and_product,
     decide,
     decision_scores,
@@ -36,36 +35,41 @@ def houses():
     return load_fixture("houses_expert_a.json"), load_fixture("houses_expert_b.json")
 
 
-def entry(w, pair, column):
-    return w.entries[w.rows.index(pair)][w.columns.index(column)]
+def entry(p, rows, pair, column):
+    """The entry of matrix `rows` at a pair and element of product `p`."""
+    return rows[p.pairs.index(pair)][p.universe.index(column)]
 
 
 class TestWeightedMatrices:
     def test_example_entries(self, houses):
         f, g = houses
-        wt, wi, wf = weighted_matrices(and_product(f, g))
-        assert entry(wt, ("e1", "e1"), "u1") == Fraction("0.44")
-        assert entry(wi, ("e2", "e1"), "u2") == Fraction("0.40")
-        assert entry(wf, ("e1", "e3"), "u1") == Fraction("0.42")
+        p = and_product(f, g)
+        wt, wi, wf = weighted_matrices(p)
+        assert entry(p, wt, ("e1", "e1"), "u1") == Fraction("0.44")
+        assert entry(p, wi, ("e2", "e1"), "u2") == Fraction("0.40")
+        assert entry(p, wf, ("e1", "e3"), "u1") == Fraction("0.42")
 
     def test_truth_blend_bounds(self, houses):
         f, g = houses
         p = and_product(f, g)
         wt, wi, wf = weighted_matrices(p)
-        for row_w, row_p in zip(wt.entries, p.cells):
+        for row_w, row_p in zip(wt, p.cells):
             for v, c in zip(row_w, row_p):
                 # t + m - t*m never drops below either ingredient
                 assert v >= max(c.triple.truth, c.mu)
                 assert 0 <= v <= 1
         for w in (wi, wf):
-            assert all(0 <= v <= 1 for row in w.entries for v in row)
+            assert all(0 <= v <= 1 for row in w for v in row)
 
     @settings(max_examples=50)
     @given(pair=mixed_pairs())
     def test_mixed_denominator_entries_follow_the_formulas(self, pair):
         p = and_product(*pair)
         wt, wi, wf = weighted_matrices(p)
-        for row, rt, ri, rf in zip(p.cells, wt.entries, wi.entries, wf.entries):
+        for w in (wt, wi, wf):
+            assert len(w) == len(p.cells) == len(p.pairs)
+            assert all(len(row) == len(p.universe) for row in w)
+        for row, rt, ri, rf in zip(p.cells, wt, wi, wf):
             for c, vt, vi, vf in zip(row, rt, ri, rf):
                 t, i, fv, m = (c.triple.truth, c.triple.indeterminacy,
                                c.triple.falsity, c.mu)
@@ -77,14 +81,14 @@ class TestWeightedMatrices:
 
 class TestRowScores:
     def test_ties_all_contribute(self):
-        w = WeightedMatrix(rows=(("e1", "e1"),), columns=("u1", "u2", "u3"),
-                           entries=((Fraction(1, 2), Fraction(1, 2), Fraction(1, 5)),))
-        assert row_scores(w) == (Fraction(1, 2), Fraction(1, 2), 0)
+        # one row, for the pair (e1, e1), over the elements u1, u2, u3
+        rows = ((Fraction(1, 2), Fraction(1, 2), Fraction(1, 5)),)
+        assert row_scores(rows) == (Fraction(1, 2), Fraction(1, 2), 0)
 
     def test_single_column_collects_everything(self):
-        w = WeightedMatrix(rows=(("a", "a"), ("a", "b")), columns=("u1",),
-                           entries=((Fraction(1, 4),), (Fraction(3, 4),)))
-        assert row_scores(w) == (Fraction(1),)
+        # rows for the pairs (a, a) and (a, b) over the one element u1
+        rows = ((Fraction(1, 4),), (Fraction(3, 4),))
+        assert row_scores(rows) == (Fraction(1),)
 
     def test_score_difference(self):
         assert decision_scores((1, 2), (0, 1), (1, 0)) == (0, 1)

@@ -284,6 +284,11 @@ class TestCsv:
     def test_semicolon_with_decimal_commas(self):
         assert loads_csv(CSV_SEMI) == loads_csv(CSV_COMMA)
 
+    @pytest.mark.parametrize("text", [CSV_COMMA, CSV_SEMI], ids=["comma", "semicolon"])
+    @pytest.mark.parametrize("blank", ["\n", " \t \n"], ids=["empty", "whitespace"])
+    def test_the_delimiter_is_sniffed_past_leading_blank_lines(self, text, blank):
+        assert loads_csv(blank + text) == loads_csv(text)
+
     def test_label_order_follows_first_appearance(self):
         text = ("parameter,element,t,i,f,mu\n"
                 "b,y,0,0,0,0\n" "b,x,0,0,0,0\n"

@@ -52,7 +52,7 @@ class TestConstruction:
         s = PnsSet.from_rows(
             ["e1"], ["u1", "u2", "u3"],
             [[(0.5, 0.2, 0.6, 0.8),
-              ((0.7, 0.3, 0.5), 0.4),
+              {"t": 0.7, "i": 0.3, "f": 0.5, "mu": 0.4},
               PossValue(T(0.4, 0.5, 0.8), 0.7)]],
         )
         assert s.shape == (1, 3)
