@@ -7,7 +7,6 @@ selection. All membership degrees are exact fractions internally.
 
 from .algebra import (
     DEFAULT_PROFILE,
-    NEGATIONS,
     ONE,
     TCONORMS,
     TNORMS,

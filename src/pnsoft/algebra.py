@@ -170,23 +170,17 @@ TCONORMS: dict[str, Callable] = {
     "lukasiewicz": tconorm_lukasiewicz,
 }
 
-NEGATIONS: dict[str, Callable] = {
-    "standard": negation_standard,
-}
-
-
 @dataclass(frozen=True)
 class NormProfile:
-    """The three operations every set operator is parameterized by.
+    """The t-norm and t-conorm that union and intersection are parameterized by.
 
-    tnorm and tconorm combine scalar degrees, scalar_negation complements a
-    degree. Like the bare PnsSet constructor, this stores what it is given;
+    Both combine scalar degrees; the complement is always the standard one.
+    Like the bare PnsSet constructor, this stores what it is given;
     `make_profile` builds one from family names.
     """
 
     tnorm: Callable
     tconorm: Callable
-    scalar_negation: Callable
 
 
 def _resolve(table, name, kind):
@@ -197,7 +191,7 @@ def _resolve(table, name, kind):
         raise ProfileError(f"unknown {kind} {_plain(name)} (known: {known})") from None
 
 
-def make_profile(tnorm="min", tconorm="max", negation="standard") -> NormProfile:
+def make_profile(tnorm="min", tconorm="max") -> NormProfile:
     """Build a NormProfile from the names of its families.
 
     An unknown name, or anything that is not a name, raises ProfileError
@@ -206,37 +200,33 @@ def make_profile(tnorm="min", tconorm="max", negation="standard") -> NormProfile
     the degrees they return.
     """
     return NormProfile(tnorm=_resolve(TNORMS, tnorm, "t-norm"),
-                       tconorm=_resolve(TCONORMS, tconorm, "t-conorm"),
-                       scalar_negation=_resolve(NEGATIONS, negation, "negation"))
+                       tconorm=_resolve(TCONORMS, tconorm, "t-conorm"))
+
+
+#: min/max, the family every worked dataset uses
+DEFAULT_PROFILE = make_profile()
 
 
 def n_norm(a: NeutrosophicTriple, b: NeutrosophicTriple,
-           profile: NormProfile | None = None) -> NeutrosophicTriple:
+           profile: NormProfile = DEFAULT_PROFILE) -> NeutrosophicTriple:
     """Lift the norms to triples: tnorm on truth, tconorm on the other two."""
-    p = profile if profile is not None else DEFAULT_PROFILE
     return NeutrosophicTriple(
-        p.tnorm(a.truth, b.truth),
-        p.tconorm(a.indeterminacy, b.indeterminacy),
-        p.tconorm(a.falsity, b.falsity),
+        profile.tnorm(a.truth, b.truth),
+        profile.tconorm(a.indeterminacy, b.indeterminacy),
+        profile.tconorm(a.falsity, b.falsity),
     )
 
 
 def n_conorm(a: NeutrosophicTriple, b: NeutrosophicTriple,
-             profile: NormProfile | None = None) -> NeutrosophicTriple:
+             profile: NormProfile = DEFAULT_PROFILE) -> NeutrosophicTriple:
     """Dual lifting: tconorm on truth, tnorm on indeterminacy and falsity."""
-    p = profile if profile is not None else DEFAULT_PROFILE
     return NeutrosophicTriple(
-        p.tconorm(a.truth, b.truth),
-        p.tnorm(a.indeterminacy, b.indeterminacy),
-        p.tnorm(a.falsity, b.falsity),
+        profile.tconorm(a.truth, b.truth),
+        profile.tnorm(a.indeterminacy, b.indeterminacy),
+        profile.tnorm(a.falsity, b.falsity),
     )
 
 
-def negate_triple(a: NeutrosophicTriple, profile: NormProfile | None = None) -> NeutrosophicTriple:
+def negate_triple(a: NeutrosophicTriple) -> NeutrosophicTriple:
     """Swap truth with falsity and negate indeterminacy."""
-    p = profile if profile is not None else DEFAULT_PROFILE
-    return NeutrosophicTriple(a.falsity, p.scalar_negation(a.indeterminacy), a.truth)
-
-
-#: min/max with the standard negation, the family every worked dataset uses
-DEFAULT_PROFILE = make_profile()
+    return NeutrosophicTriple(a.falsity, negation_standard(a.indeterminacy), a.truth)

@@ -9,12 +9,13 @@ Exit status: 0 on success, 1 on a domain error, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import NEGATIONS, TCONORMS, TNORMS, as_unit, make_profile
+from .algebra import TCONORMS, TNORMS, as_unit, make_profile
 from .decision import decide
 from .errors import PnsError, SchemaError
 from .jsonio import _memoized, _to_jsonable, decimal_string, load_any
@@ -109,12 +110,6 @@ def _add_format(sub):
 def _add_profile(sub):
     sub.add_argument("--tnorm", choices=sorted(TNORMS), default="min")
     sub.add_argument("--tconorm", choices=sorted(TCONORMS), default="max")
-    sub.add_argument("--negation", choices=sorted(NEGATIONS), default="standard")
-
-
-def _profile(args):
-    return make_profile(tnorm=args.tnorm, tconorm=args.tconorm,
-                        negation=args.negation)
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +141,13 @@ def _cmd_validate(args) -> int:
 
 def _cmd_combine(args) -> int:
     """union or intersect, whichever the subcommand bound to args.combine."""
-    _emit_set(args.combine(load_any(args.first), load_any(args.second),
-                           _profile(args)), args)
+    profile = make_profile(tnorm=args.tnorm, tconorm=args.tconorm)
+    _emit_set(args.combine(load_any(args.first), load_any(args.second), profile), args)
     return 0
 
 
 def _cmd_complement(args) -> int:
-    _emit_set(complement(load_any(args.set), _profile(args)), args)
+    _emit_set(complement(load_any(args.set)), args)
     return 0
 
 
@@ -204,25 +199,11 @@ def _cmd_decide(args) -> int:
     return 0
 
 
-def _similarity_doc(report) -> dict:
-    return {
-        "parameters": list(report.parameters),
-        "value_components": list(report.value_components),
-        "value_similarity": report.value_similarity,
-        "possibility_components": list(report.possibility_components),
-        "possibility_similarity": report.possibility_similarity,
-        "overall": report.overall,
-        "p": report.p,
-        "threshold": report.threshold,
-        "significant": report.significant,
-    }
-
-
 def _cmd_similarity(args) -> int:
     report = similarity(load_any(args.first), load_any(args.second),
                         p=args.p, threshold=args.threshold)
     if args.format == "json":
-        print(_json(_similarity_doc(report)))
+        print(_json(dataclasses.asdict(report)))
         return 0
     rows = [[p, _num(v), _num(m)] for p, v, m in
             zip(report.parameters, report.value_components,
@@ -318,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("complement", help="complement of a set")
     s.add_argument("set")
-    _add_profile(s)
+    _add_profile(s)  # accepted like the other set operators, and unused
     _add_format(s)
     s.set_defaults(func=_cmd_complement)
 

@@ -232,21 +232,27 @@ def load_csv(path) -> PnsSet:
 
 def loads_csv(text: str) -> PnsSet:
     text = text.removeprefix("\ufeff")  # byte order mark written by spreadsheets
-    lines = io.StringIO(text)
+    lines = io.StringIO(text, newline=None)  # \r and \r\n read as \n, as from a file
     first = next((line for line in lines if line.strip()), "")  # the header
     delimiter = ";" if first.count(";") >= first.count(",") and ";" in first else ","
     lines.seek(0)
     reader = csv.reader(lines, delimiter=delimiter)
-    rows = [row for row in reader if any(field.strip() for field in row)]
+    rows = []  # (file line number, fields) of each non-blank row
+    try:
+        for row in reader:
+            if any(field.strip() for field in row):
+                rows.append((reader.line_num, row))
+    except csv.Error as exc:  # such as a field beyond csv.field_size_limit()
+        raise SchemaError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise SchemaError("empty CSV")
-    header = [h.strip().lower() for h in rows[0]]
+    header = [h.strip().lower() for h in rows[0][1]]
     if header != list(CSV_COLUMNS):
         raise SchemaError(
             f"header must be {', '.join(CSV_COLUMNS)}; got {', '.join(header)}")
     parse = functools.lru_cache(maxsize=MEMO_CAP)(parse_decimal)
     seen, problems = {}, []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(CSV_COLUMNS):
             problems.append(
                 f"line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(row)}")

@@ -260,26 +260,24 @@ def equals(f: PnsSet, g: PnsSet) -> bool:
     return is_subset(f, g) and is_subset(g, f)
 
 
-def union(f: PnsSet, g: PnsSet, profile: NormProfile | None = None) -> PnsSet:
+def union(f: PnsSet, g: PnsSet, profile: NormProfile = DEFAULT_PROFILE) -> PnsSet:
     """Cellwise n-conorm on triples, t-conorm on possibility degrees."""
     _require_same_labels(f, g)
-    p = profile if profile is not None else DEFAULT_PROFILE
-    return _cellwise(f, g, p.tconorm, p.tnorm)
+    return _cellwise(f, g, profile.tconorm, profile.tnorm)
 
 
-def intersection(f: PnsSet, g: PnsSet, profile: NormProfile | None = None) -> PnsSet:
+def intersection(f: PnsSet, g: PnsSet, profile: NormProfile = DEFAULT_PROFILE) -> PnsSet:
     """Cellwise n-norm on triples, t-norm on possibility degrees."""
     _require_same_labels(f, g)
-    p = profile if profile is not None else DEFAULT_PROFILE
-    return _cellwise(f, g, p.tnorm, p.tconorm)
+    return _cellwise(f, g, profile.tnorm, profile.tconorm)
 
 
-def complement(f: PnsSet, profile: NormProfile | None = None) -> PnsSet:
-    """Negate every triple and every possibility degree."""
-    n = (profile if profile is not None else DEFAULT_PROFILE).scalar_negation
+def complement(f: PnsSet) -> PnsSet:
+    """Negate every triple and every possibility degree: (t, i, f), mu
+    becomes (f, 1 - i, t), 1 - mu."""
     cells = tuple(
-        tuple(_trusted_cell(c.triple.falsity, n(c.triple.indeterminacy),
-                            c.triple.truth, n(c.mu))
+        tuple(_trusted_cell(c.triple.falsity, 1 - c.triple.indeterminacy,
+                            c.triple.truth, 1 - c.mu)
               for c in row)
         for row in f.cells
     )

@@ -42,7 +42,7 @@ def random_pair(rng, n_params=None, n_elems=None):
     return a, b
 
 
-#: every pairing of the named families, each with the standard negation
+#: every pairing of the named families
 PROFILES = [pnsoft.make_profile(t, s)
             for t in sorted(pnsoft.TNORMS) for s in sorted(pnsoft.TCONORMS)]
 

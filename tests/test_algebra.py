@@ -117,16 +117,22 @@ class TestScalarNorms:
 
     # make_profile trusts the named families, and the set operators build
     # unchecked cells from what they return, so this is their check: each
-    # result an exact Fraction in [0, 1], and a lawful negation
+    # result an exact Fraction in [0, 1]
     @pytest.mark.parametrize("tconorm", sorted(TCONORMS))
     @pytest.mark.parametrize("tnorm", sorted(TNORMS))
     @settings(max_examples=40, deadline=None)
     @given(x=degrees, y=degrees)
     def test_families_pass_the_axiom_check(self, tnorm, tconorm, x, y):
         p = make_profile(tnorm, tconorm)
-        n = p.scalar_negation
-        for value in (p.tnorm(x, y), p.tconorm(x, y), n(x)):
+        for value in (p.tnorm(x, y), p.tconorm(x, y)):
             assert type(value) is Fraction and 0 <= value <= 1
+
+    # complement builds unchecked cells from 1 - x as well
+    @settings(max_examples=40, deadline=None)
+    @given(x=degrees, y=degrees)
+    def test_standard_negation_passes_the_axiom_check(self, x, y):
+        n = negation_standard
+        assert type(n(x)) is Fraction and 0 <= n(x) <= 1
         assert n(Fraction(0)) == 1 and n(Fraction(1)) == 0
         if x <= y:
             assert n(x) >= n(y)
@@ -163,10 +169,6 @@ class TestProfileCheck:
         with pytest.raises(ProfileError, match="unknown t-conorm .*known: "):
             make_profile(tconorm=lambda a, b: a + b)
 
-    def test_frozen_negation_rejected(self):
-        with pytest.raises(ProfileError, match="unknown negation .*known: standard"):
-            make_profile(negation=lambda x: x)
-
     def test_unknown_family_name(self):
         with pytest.raises(ProfileError, match="unknown t-norm"):
             make_profile(tnorm="geometric")
@@ -184,8 +186,7 @@ class TestWhereProfilesAreChecked:
     @pytest.mark.parametrize("given", [
         {"tnorm": tnorm_product},
         {"tconorm": tconorm_probsum},
-        {"negation": negation_standard},
-    ], ids=["tnorm", "tconorm", "negation"])
+    ], ids=["tnorm", "tconorm"])
     def test_a_callable_is_checked(self, given):
         # even the very function a family uses is refused: names only
         with pytest.raises(ProfileError, match="known: "):
@@ -235,7 +236,7 @@ class TestTripleNorms:
             assert n_norm(a, ZERO, p) == ZERO
             assert n_conorm(a, ZERO, p) == a
             assert n_conorm(a, ONE, p) == ONE
-            assert negate_triple(ONE, p) == ZERO and negate_triple(ZERO, p) == ONE
+        assert negate_triple(ONE) == ZERO and negate_triple(ZERO) == ONE
 
     @given(a=triples, b=triples, c=triples)
     def test_monotone_in_the_triple_order(self, a, b, c):

@@ -10,7 +10,7 @@ import pnsoft
 
 PUBLIC = [
     "CandidateResult", "DEFAULT_PROFILE", "DecisionReport", "DegenerateRowError",
-    "IncompatibleError", "NEGATIONS", "NeutrosophicTriple", "NormProfile", "ONE",
+    "IncompatibleError", "NeutrosophicTriple", "NormProfile", "ONE",
     "PnsError", "PnsSet", "PossValue", "ProductPnsSet", "ProfileError",
     "SchemaError", "SelectionReport", "SimilarityReport", "TCONORMS", "TNORMS",
     "ZERO", "and_product", "as_unit", "complement", "decide", "decimal_string",

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pnsoft.algebra
 import pnsoft.sets
@@ -234,13 +234,15 @@ SOURCES = {"json": CARS.read_bytes(), "csv": _as_csv(load_pns(CARS))}
 NUMBER = re.compile(rb"\d+(?:\.\d+)?")
 
 DEPTHS = st.sampled_from([1, 3, 1500, 5000])
-LENGTHS = st.sampled_from([30, 4200, 4400, 20000])
+# 140000 passes csv.field_size_limit() (131072)
+LENGTHS = st.sampled_from([30, 4200, 4400, 20000, 140_000])
 HOSTILE = (
     st.sampled_from([
         b"\xef\xbb\xbf", b"\xff\xfe", b"\xfe\xff",      # byte order marks
         b",", b";", b"\t", b";,", b",;", b"0,5", b'"',     # mixed delimiters
         b"NaN", b"-NaN", b"nan", b"Infinity", b"-Infinity", b"inf", b"-inf",
         b'"NaN"', b'"Infinity"', b"1e400", b"1E-999999", b"1e+100001", b"1/0",
+        b"\r",                                            # old Mac line end
     ])
     # nesting from a stray list to beyond the recursion limit
     | DEPTHS.map(lambda n: b"[" * n + b"0.5" + b"]" * n)
@@ -272,8 +274,15 @@ def hostile_documents(draw):
     return kind, data
 
 
+#: CSV with bare carriage returns, and CSV with one field beyond the limit
+CSV_CR = ("csv", SOURCES["csv"].replace(b"\n", b"\r"))
+CSV_LONG_FIELD = ("csv", SOURCES["csv"].replace(b"\n", b"\n" + b"9" * 140_000, 1))
+
+
 @settings(max_examples=150, deadline=2000)
 @given(document=hostile_documents())
+@example(document=CSV_CR)
+@example(document=CSV_LONG_FIELD)
 def test_hostile_text_raises_only_schema_error(document):
     kind, data = document
     loads = {"json": loads_pns, "csv": loads_csv}[kind]
@@ -286,6 +295,9 @@ def test_hostile_text_raises_only_schema_error(document):
 @settings(max_examples=60, deadline=2000)
 @given(document=hostile_documents(),
        command=st.sampled_from(["validate", "complement", "union"]))
+@example(document=CSV_CR, command="complement")
+@example(document=CSV_LONG_FIELD, command="validate")
+@example(document=CSV_LONG_FIELD, command="complement")
 def test_hostile_files_end_the_cli_in_at_most_one_error_line(document, command):
     kind, data = document
     out, err = io.StringIO(), io.StringIO()

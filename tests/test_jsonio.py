@@ -289,6 +289,10 @@ class TestCsv:
     def test_the_delimiter_is_sniffed_past_leading_blank_lines(self, text, blank):
         assert loads_csv(blank + text) == loads_csv(text)
 
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_carriage_returns_read_like_newlines(self, newline):
+        assert loads_csv(CSV_COMMA.replace("\n", newline)) == loads_csv(CSV_COMMA)
+
     def test_label_order_follows_first_appearance(self):
         text = ("parameter,element,t,i,f,mu\n"
                 "b,y,0,0,0,0\n" "b,x,0,0,0,0\n"
@@ -326,9 +330,17 @@ class TestCsv:
         ("parameter,element,t,i,f,mu\na,x,0,0,0,0\na,y,0,0,0,0\nb,x,0,0,0,0\n",
          r"missing cells \(b, y\)"),
         ("parameter,element,t,i,f,mu\na,x,0.5,0.2,0.6,1.3\n", r"cell \(a, x\).*mu"),
+        # numbered by file line, blank lines included
+        ("\nparameter,element,t,i,f,mu\n\ne1,u1,x,0,0,0\n",
+         r"^line 4: bad number for t in cell \(e1, u1\)"),
     ])
     def test_diagnostics(self, text, match):
         with pytest.raises(SchemaError, match=match):
+            loads_csv(text)
+
+    def test_a_field_beyond_the_csv_limit_is_named_by_line(self):
+        text = "parameter,element,t,i,f,mu\na,x," + "1" * 140_000 + ",0,0,0\n"
+        with pytest.raises(SchemaError, match=r"^line 2: field larger than field limit"):
             loads_csv(text)
 
 

@@ -269,8 +269,7 @@ def test_operators_build_cells_like_the_checked_constructors(pair):
                                                     p.tconorm(a.mu, b.mu))),
             (intersection(f, g, p), lambda a, b: PossValue(n_norm(a.triple, b.triple, p),
                                                            p.tnorm(a.mu, b.mu))),
-            (complement(f, p), lambda a, _: PossValue(negate_triple(a.triple, p),
-                                                      p.scalar_negation(a.mu))),
+            (complement(f), lambda a, _: PossValue(negate_triple(a.triple), 1 - a.mu)),
         ]
         for result, checked_cell in results:
             for row, frow, grow in zip(result.cells, f.cells, g.cells):
