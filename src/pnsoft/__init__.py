@@ -56,7 +56,6 @@ from .sets import (
     null_set,
     union,
     universal_set,
-    validate,
 )
 from .similarity import (
     CandidateResult,

@@ -28,6 +28,16 @@ def _plain(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
+def _label(text) -> str:
+    # error display only: a short printable label reads as it is, so
+    # `cell (e1, u1)` stays plain; control characters are escaped as repr
+    # escapes them, and long text is cut as `_plain` cuts it
+    text = str(text)[:41]  # enough to know whether the result gets cut
+    if not text.isprintable():
+        text = "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in text)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 #: Largest decimal exponent a number literal may carry. Fraction expands
 #: 1e-N into an N-digit denominator, in time and memory that grow faster
 #: than N; 1e-100000 still converts in milliseconds.

@@ -20,9 +20,9 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from pathlib import Path
 
-from .algebra import ExponentError, _plain, parse_decimal
+from .algebra import ExponentError, _label, _plain, parse_decimal
 from .errors import SchemaError
-from .sets import PnsSet, _document_shape, _summary
+from .sets import PnsSet, _listed, _summary
 
 
 @functools.lru_cache(maxsize=1024)
@@ -70,8 +70,19 @@ def decimal_string(value) -> str:
 
 
 def from_document(doc) -> PnsSet:
-    """Check a parsed document and build the set; all problems at once."""
-    violations = _document_shape(doc)
+    """Check a parsed document and build the set; all problems at once.
+
+    A broken layout leaves no cells to check; `from_rows` checks the rest.
+    """
+    violations = [f"missing key {key!r}" for key in ("parameters", "universe", "cells")
+                  if key not in doc]
+    if not violations:
+        violations = [f"{key!r} must be a list of strings"
+                      for key in ("parameters", "universe")
+                      if not isinstance(doc[key], list)
+                      or not all(isinstance(x, str) for x in doc[key])]
+        if not isinstance(doc["cells"], list):
+            violations.append("'cells' must be a list of rows")
     if violations:
         raise SchemaError(
             "invalid document: " + "; ".join(violations), violations=violations)
@@ -237,19 +248,21 @@ def loads_csv(text: str) -> PnsSet:
     delimiter = ";" if first.count(";") >= first.count(",") and ";" in first else ","
     lines.seek(0)
     reader = csv.reader(lines, delimiter=delimiter)
-    rows = []  # (file line number, fields) of each non-blank row
+    rows = []  # (file line the record starts on, fields) of each non-blank one
+    start = 1  # a quoted field may span lines, and line_num is where a record ends
     try:
         for row in reader:
             if any(field.strip() for field in row):
-                rows.append((reader.line_num, row))
+                rows.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as exc:  # such as a field beyond csv.field_size_limit()
-        raise SchemaError(f"line {reader.line_num}: {exc}") from None
+        raise SchemaError(f"line {start}: {exc}") from None
     if not rows:
         raise SchemaError("empty CSV")
     header = [h.strip().lower() for h in rows[0][1]]
     if header != list(CSV_COLUMNS):
         raise SchemaError(
-            f"header must be {', '.join(CSV_COLUMNS)}; got {', '.join(header)}")
+            f"header must be {', '.join(CSV_COLUMNS)}; got {_listed(header)}")
     parse = functools.lru_cache(maxsize=MEMO_CAP)(parse_decimal)
     seen, problems = {}, []
     for lineno, row in rows[1:]:
@@ -267,12 +280,12 @@ def loads_csv(text: str) -> PnsSet:
                 numbers.append(parse(field))
             except ExponentError as exc:
                 problems.append(f"line {lineno}: bad number for {name} "
-                                f"in cell ({p}, {u}): {exc}")
+                                f"in cell ({_label(p)}, {_label(u)}): {exc}")
             except (ValueError, ZeroDivisionError):
                 problems.append(f"line {lineno}: bad number for {name} "
-                                f"in cell ({p}, {u}): {_plain(field)}")
+                                f"in cell ({_label(p)}, {_label(u)}): {_plain(field)}")
         if (p, u) in seen:
-            problems.append(f"line {lineno}: duplicate cell ({p}, {u})")
+            problems.append(f"line {lineno}: duplicate cell ({_label(p)}, {_label(u)})")
             continue
         seen[(p, u)] = tuple(numbers)
     if problems:
@@ -281,7 +294,7 @@ def loads_csv(text: str) -> PnsSet:
     universe = list(dict.fromkeys(u for _, u in seen))
     missing = [(p, u) for p in parameters for u in universe if (p, u) not in seen]
     if missing:
-        where = ", ".join(f"({p}, {u})" for p, u in missing[:5])
+        where = ", ".join(f"({_label(p)}, {_label(u)})" for p, u in missing[:5])
         raise SchemaError(f"incomplete grid, missing cells {where}")
     grid = [[seen[(p, u)] for u in universe] for p in parameters]
     return PnsSet.from_rows(parameters, universe, grid)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import _plain
 from .errors import IncompatibleError
-from .sets import PnsSet, _trusted_cell
+from .sets import PnsSet, _listed, _trusted_cell
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,8 @@ class ProductPnsSet:
 def _require_same_universe(f: PnsSet, g: PnsSet):
     if f.universe != g.universe:
         raise IncompatibleError(
-            f"products need a shared universe; got {f.universe} vs {g.universe}")
+            f"products need a shared universe; "
+            f"got ({_listed(f.universe)}) vs ({_listed(g.universe)})")
 
 
 def _degrees(s: PnsSet):
@@ -94,5 +96,5 @@ def to_pns_set(p: ProductPnsSet, separator: str = "*") -> PnsSet:
     labels = tuple(f"{a}{separator}{b}" for a, b in p.pairs)
     if len(set(labels)) != len(labels):
         raise IncompatibleError(
-            f"separator {separator!r} does not keep pair labels distinct")
+            f"separator {_plain(separator)} does not keep pair labels distinct")
     return PnsSet(parameters=labels, universe=p.universe, cells=p.cells)

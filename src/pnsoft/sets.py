@@ -16,6 +16,8 @@ from .algebra import (
     NormProfile,
     ONE,
     ZERO,
+    _label,
+    _plain,
     as_unit,
     triple_leq,
 )
@@ -39,8 +41,9 @@ class PossValue:
 class PnsSet:
     """Labeled matrix of PossValue, one row per parameter, one column per element.
 
-    The bare constructor stores what it is given. Use `from_rows` for
-    checked construction, or `validate` to audit an instance built by hand.
+    The bare constructor stores what it is given. `from_rows` is the
+    checked construction; to audit an instance built by hand, pass its
+    fields to `from_rows` and read the SchemaError's violations.
     """
 
     parameters: tuple
@@ -53,16 +56,47 @@ class PnsSet:
 
         `rows` is one sequence per parameter, each holding one cell per
         universe element. A cell may be a PossValue, a flat (t, i, f, mu)
-        sequence or a {"t", "i", "f", "mu"} mapping. Shape or range
-        problems raise one SchemaError listing every violation, each naming
-        the offending coordinates.
+        sequence or a {"t", "i", "f", "mu"} mapping. This is the one check
+        of a set: non-empty distinct labels, one row per parameter, one
+        cell per element, every degree in [0, 1]. Each raw degree goes
+        through as_unit exactly once, and the checked Fractions become the
+        cells directly. Problems raise one SchemaError listing every
+        violation, each naming the offending coordinates.
         """
         parameters = tuple(str(p) for p in parameters)
         universe = tuple(str(u) for u in universe)
-        cells, violations = _build(parameters, universe, rows)
+        violations = []
+        for what, labels in (("parameter", parameters), ("universe", universe)):
+            if not labels:
+                violations.append(f"{what} list must be non-empty")
+            elif len(set(labels)) != len(labels):
+                violations.append(f"duplicate {what} labels")
+        rows = list(rows)
+        if len(rows) != len(parameters):
+            violations.append(f"expected {len(parameters)} rows for "
+                              f"{len(parameters)} parameters, got {len(rows)}")
+        matrix = []
+        for r, row in enumerate(rows):
+            p = parameters[r] if r < len(parameters) else f"row {r}"
+            if isinstance(row, (str, dict)) or not hasattr(row, "__iter__"):
+                violations.append(f"row {_plain(p)} is not a list")
+                continue
+            row = list(row)
+            if len(row) != len(universe):
+                violations.append(f"row {_plain(p)}: expected {len(universe)} cells "
+                                  f"for {len(universe)} elements, got {len(row)}")
+            built = []
+            for c, raw in enumerate(row):
+                cell, problems = _check_cell(raw)
+                if problems:
+                    u = universe[c] if c < len(universe) else f"col {c}"
+                    violations.extend(f"cell ({_label(p)}, {_label(u)}): {v}"
+                                      for v in problems)
+                built.append(cell)
+            matrix.append(tuple(built))
         if violations:
             raise SchemaError(_summary(violations), violations=violations)
-        return cls(parameters=parameters, universe=universe, cells=cells)
+        return cls(parameters=parameters, universe=universe, cells=tuple(matrix))
 
     def cell(self, parameter, element) -> PossValue:
         i = self.parameters.index(parameter)
@@ -81,7 +115,7 @@ _set = object.__setattr__
 def _trusted_cell(truth, indeterminacy, falsity, mu) -> PossValue:
     """A cell built without the range checks of its constructors.
 
-    Only for degrees that are already checked Fractions: those `_build`
+    Only for degrees that are already checked Fractions: those `from_rows`
     has just passed through as_unit, those the products pick from checked
     cells, and those the named norm families compute from them, which stay
     exact Fractions in [0, 1]. Equal to, and hashing like, the checked cell.
@@ -139,75 +173,6 @@ def _check_cell(cell):
     return _trusted_cell(*degrees), ()
 
 
-def _build(parameters, universe, rows):
-    """Check raw rows against their labels in one pass and build the cells.
-
-    This is the one check of the input invariant: non-empty distinct
-    labels, one row per parameter, one cell per element, every degree in
-    [0, 1]. Each raw degree goes through as_unit exactly once, and the
-    checked Fractions become the cells directly. Returns (cells,
-    violations); the cells are meaningful only when violations is empty.
-    """
-    violations = []
-    for what, labels in (("parameter", parameters), ("universe", universe)):
-        if not labels:
-            violations.append(f"{what} list must be non-empty")
-        elif len(set(labels)) != len(labels):
-            violations.append(f"duplicate {what} labels")
-    rows = list(rows)
-    if len(rows) != len(parameters):
-        violations.append(f"expected {len(parameters)} rows for "
-                          f"{len(parameters)} parameters, got {len(rows)}")
-    matrix = []
-    for r, row in enumerate(rows):
-        p = parameters[r] if r < len(parameters) else f"row {r}"
-        if isinstance(row, (str, dict)) or not hasattr(row, "__iter__"):
-            violations.append(f"row {p!r} is not a list")
-            continue
-        row = list(row)
-        if len(row) != len(universe):
-            violations.append(f"row {p!r}: expected {len(universe)} cells for "
-                              f"{len(universe)} elements, got {len(row)}")
-        built = []
-        for c, raw in enumerate(row):
-            cell, problems = _check_cell(raw)
-            if problems:
-                u = universe[c] if c < len(universe) else f"col {c}"
-                violations.extend(f"cell ({p}, {u}): {v}" for v in problems)
-            built.append(cell)
-        matrix.append(tuple(built))
-    return tuple(matrix), violations
-
-
-def _document_shape(doc) -> list:
-    """Layout problems of a parsed document that leave no cells to check."""
-    missing = [f"missing key {key!r}" for key in ("parameters", "universe", "cells")
-               if key not in doc]
-    if missing:
-        return missing
-    violations = [f"{key!r} must be a list of strings" for key in ("parameters", "universe")
-                  if not isinstance(doc[key], list)
-                  or not all(isinstance(x, str) for x in doc[key])]
-    if not isinstance(doc["cells"], list):
-        violations.append("'cells' must be a list of rows")
-    return violations
-
-
-def validate(obj) -> list:
-    """Audit a PnsSet (or a raw document dict) and list every violation.
-
-    Returns a list of human readable strings, one per problem, each naming
-    the (parameter, element) coordinates where that is meaningful. An empty
-    list means the object is valid. The checks are those of `from_rows`.
-    """
-    if isinstance(obj, dict):
-        violations = _document_shape(obj)
-        if violations:
-            return violations
-        return _build(obj["parameters"], obj["universe"], obj["cells"])[1]
-    return _build(obj.parameters, obj.universe, obj.cells)[1]
-
-
 def null_set(parameters, universe) -> PnsSet:
     """Bottom of the subset order: every triple (0,1,1) with possibility 0."""
     return _constant_set(parameters, universe, PossValue(ZERO, 0))
@@ -224,12 +189,21 @@ def _constant_set(parameters, universe, value):
                             [[value] * len(universe)] * len(parameters))
 
 
+def _listed(labels) -> str:
+    """A label list in a message: its first six labels, then how many more."""
+    text = ", ".join(_label(x) for x in labels[:6])
+    if len(labels) > 6:
+        text += f", and {len(labels) - 6} more"
+    return text
+
+
 def _require_same_labels(f: PnsSet, g: PnsSet):
     # reordering is a deliberate separate step, never done implicitly
     if f.parameters != g.parameters or f.universe != g.universe:
         raise IncompatibleError(
             "operands must share parameter and universe labels in the same order; "
-            f"got {f.parameters}x{f.universe} vs {g.parameters}x{g.universe}")
+            f"got ({_listed(f.parameters)})x({_listed(f.universe)}) "
+            f"vs ({_listed(g.parameters)})x({_listed(g.universe)})")
 
 
 def _cellwise(f: PnsSet, g: PnsSet, on_truth, on_other) -> PnsSet:

@@ -17,7 +17,7 @@ from math import lcm
 
 from .errors import DegenerateRowError, PnsError
 from .sets import PnsSet, _require_same_labels
-from .algebra import NeutrosophicTriple, as_unit
+from .algebra import NeutrosophicTriple, _plain, as_unit
 
 
 def phi(triple: NeutrosophicTriple) -> Fraction:
@@ -108,7 +108,7 @@ def possibility_similarity(f: PnsSet, g: PnsSet):
         den = sum(Fraction(both, den) for den, both in sums.items())
         if den == 0:
             raise DegenerateRowError(
-                f"parameter {label!r}: all possibility degrees are zero in both sets")
+                f"parameter {_plain(label)}: all possibility degrees are zero in both sets")
         components.append(1 - num / den)
     return tuple(components), sum(components) / len(components)
 

@@ -19,7 +19,7 @@ PUBLIC = [
     "make_profile", "n_conorm", "n_norm", "negate_triple", "null_set",
     "or_product", "phi", "possibility_similarity", "row_scores", "save_pns",
     "select_by_similarity", "similarity", "to_pns_set", "triple_leq", "union",
-    "universal_set", "validate", "value_similarity", "weighted_matrices",
+    "universal_set", "value_similarity", "weighted_matrices",
 ]
 
 

@@ -10,13 +10,13 @@ from pnsoft import (
     SchemaError,
     decimal_string,
     equals,
+    from_document,
     load_any,
     load_csv,
     load_pns,
     loads_csv,
     loads_pns,
     save_pns,
-    validate,
 )
 from pnsoft.jsonio import _decimal_scale, dumps_pns
 
@@ -150,8 +150,7 @@ class TestJsonRoundTrip:
         assert len(paths) == 12
         for path in paths:
             doc = json.loads(path.read_text(), parse_float=Fraction)
-            assert validate(doc) == [], path.name
-            load_pns(path)
+            assert from_document(doc) == load_pns(path), path.name
 
 
 class TestJsonErrors:
@@ -333,6 +332,11 @@ class TestCsv:
         # numbered by file line, blank lines included
         ("\nparameter,element,t,i,f,mu\n\ne1,u1,x,0,0,0\n",
          r"^line 4: bad number for t in cell \(e1, u1\)"),
+        # by the line a record starts on, when a quoted label spans lines
+        ('parameter,element,t,i,f,mu\n"e\n1",u1,x,0,0,0\n',
+         r"^line 2: bad number for t in cell \(e\\n1, u1\): 'x'$"),
+        ('parameter,element,t,i,f,mu\n"e\n1",u1,0,0,0,0\ne2,u1,x,0,0,0\n',
+         r"^line 4: bad number for t in cell \(e2, u1\)"),
     ])
     def test_diagnostics(self, text, match):
         with pytest.raises(SchemaError, match=match):

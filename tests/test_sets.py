@@ -11,6 +11,7 @@ from pnsoft import (
     SchemaError,
     complement,
     equals,
+    from_document,
     intersection,
     is_subset,
     make_profile,
@@ -20,7 +21,6 @@ from pnsoft import (
     null_set,
     union,
     universal_set,
-    validate,
 )
 
 from _reference import as_map, brute_complement, brute_intersection, brute_union
@@ -86,20 +86,29 @@ class TestConstruction:
             null_set([], ["u1"])
 
 
+def violations(build, *args):
+    with pytest.raises(SchemaError) as exc:
+        build(*args)
+    return exc.value.violations
+
+
 class TestValidate:
+    """Auditing: a document goes through from_document, a set's fields
+    through from_rows; the SchemaError lists every violation."""
+
     def test_fixture_is_clean(self, cars):
         f, _ = cars
-        assert validate(f) == []
+        assert PnsSet.from_rows(f.parameters, f.universe, f.cells) == f
 
     def test_document_is_clean(self):
         doc = {"parameters": ["e1"], "universe": ["u1"],
                "cells": [[{"t": 0.5, "i": 0.2, "f": 0.6, "mu": 0.8}]]}
-        assert validate(doc) == []
+        assert from_document(doc).cell("e1", "u1") == PossValue(T(0.5, 0.2, 0.6), 0.8)
 
     def test_out_of_range_component(self):
         doc = {"parameters": ["e1"], "universe": ["u1"],
                "cells": [[{"t": 1.2, "i": 0.2, "f": 0.6, "mu": 0.8}]]}
-        out = validate(doc)
+        out = violations(from_document, doc)
         assert len(out) == 1
         assert "cell (e1, u1)" in out[0] and "t" in out[0]
 
@@ -107,25 +116,33 @@ class TestValidate:
         doc = {"parameters": ["e1", "e2", "e3"], "universe": ["u1"],
                "cells": [[{"t": 0, "i": 0, "f": 0, "mu": 0}],
                          [{"t": 0, "i": 0, "f": 0, "mu": 0}]]}
-        out = validate(doc)
+        out = violations(from_document, doc)
         assert any("3 parameters" in v for v in out)
 
     def test_missing_key_and_field(self):
-        assert validate({"parameters": ["e1"], "universe": ["u1"]}) == ["missing key 'cells'"]
+        assert violations(from_document, {"parameters": ["e1"], "universe": ["u1"]}) \
+            == ["missing key 'cells'"]
         doc = {"parameters": ["e1"], "universe": ["u1"],
                "cells": [[{"t": 0.5, "i": 0.2, "mu": 0.8}]]}
-        assert any("missing 'f'" in v for v in validate(doc))
+        assert any("missing 'f'" in v for v in violations(from_document, doc))
 
     def test_collects_every_violation(self):
         doc = {"parameters": ["e1"], "universe": ["u1", "u2"],
                "cells": [[{"t": 2, "i": 0, "f": 0, "mu": 0},
                           {"t": 0, "i": 0, "f": 0, "mu": -1}]]}
-        assert len(validate(doc)) == 2
+        assert len(violations(from_document, doc)) == 2
 
     def test_hand_built_instance(self):
         s = PnsSet(parameters=("e1",), universe=("u1",),
                    cells=((PossValue(T(0, 0, 0), 0),),))
-        assert validate(s) == []
+        assert PnsSet.from_rows(s.parameters, s.universe, s.cells) == s
+        # raw cells are checked and built, not passed as they are
+        raw = PnsSet(parameters=("e1",), universe=("u1",), cells=(((0.5, 0.2, 0.1, 0.3),),))
+        built = PnsSet.from_rows(raw.parameters, raw.universe, raw.cells)
+        assert built.cell("e1", "u1") == PossValue(T(0.5, 0.2, 0.1), 0.3)
+        bad = PnsSet(parameters=("e1",), universe=("u1",), cells=(((1.5, 0, 0, 0),),))
+        assert violations(PnsSet.from_rows, bad.parameters, bad.universe, bad.cells) \
+            == ["cell (e1, u1): t must lie in [0, 1], got 1.5"]
 
 
 class TestOrder:
