@@ -28,13 +28,20 @@ def _plain(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
+def _escaped(text) -> str:
+    # display only: printable text reads as it is; control characters are
+    # escaped as repr escapes them, so the text stays on one line
+    text = str(text)
+    if text.isprintable():
+        return text
+    return "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in text)
+
+
 def _label(text) -> str:
     # error display only: a short printable label reads as it is, so
-    # `cell (e1, u1)` stays plain; control characters are escaped as repr
-    # escapes them, and long text is cut as `_plain` cuts it
-    text = str(text)[:41]  # enough to know whether the result gets cut
-    if not text.isprintable():
-        text = "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in text)
+    # `cell (e1, u1)` stays plain; control characters are escaped, and long
+    # text is cut as `_plain` cuts it
+    text = _escaped(str(text)[:41])  # enough to know whether the result gets cut
     return text if len(text) <= 40 else text[:37] + "..."
 
 
@@ -110,7 +117,7 @@ def as_unit(value, what: str = "value") -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeutrosophicTriple:
     """A point (truth, indeterminacy, falsity) in the unit cube."""
 

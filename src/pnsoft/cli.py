@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import TCONORMS, TNORMS, as_unit, make_profile
+from .algebra import TCONORMS, TNORMS, _escaped, as_unit, make_profile
 from .decision import decide
 from .errors import PnsError, SchemaError
 from .jsonio import _memoized, _to_jsonable, decimal_string, load_any
@@ -47,25 +47,51 @@ def _num(x) -> str:
     return "%.4f" % float(x)
 
 
+def _by_identity(number):
+    """`number` with each object rendered once. Make one per output.
+
+    For outputs that repeat objects: the entries of a decide report share
+    one Fraction per distinct value within a matrix, and product cells
+    reuse their operands' degrees, so an id lookup answers most calls
+    before the value memo behind it is asked. The memo keeps a reference
+    to every object it has seen, so no id is reused while it lives; the
+    report it renders holds those objects anyway.
+    """
+    texts, seen = {}, []
+
+    def cached(x):
+        text = texts.get(id(x))
+        if text is None:
+            text = texts[id(x)] = number(x)
+            seen.append(x)
+        return text
+    return cached
+
+
 def _table(headers, rows) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for j, cell in enumerate(row):
-            widths[j] = max(widths[j], len(cell))
+    """Aligned columns; the headers and each row's first cell are labels.
+
+    A label that is not printable is escaped, so that each row stays on
+    one line; printable labels keep their exact text.
+    """
+    headers = [_escaped(h) for h in headers]
+    rows = [row if row[0].isprintable() else [_escaped(row[0]), *row[1:]]
+            for row in rows]
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+
     def line(cells):
-        return "  ".join(cell.ljust(widths[j]) for j, cell in enumerate(cells)).rstrip()
+        return "  ".join([cell.ljust(w) for cell, w in zip(cells, widths)]).rstrip()
     return "\n".join([line(headers)] + [line(row) for row in rows])
 
 
+_CELL_TEXT = "(%s,%s,%s)|%s"
+
+
 def _set_table(s, num) -> str:
-    headers = [""] + list(s.universe)
-    rows = []
-    for p, row in zip(s.parameters, s.cells):
-        rows.append([p] + [
-            f"({num(c.triple.truth)},{num(c.triple.indeterminacy)},"
-            f"{num(c.triple.falsity)})|{num(c.mu)}"
-            for c in row])
-    return _table(headers, rows)
+    return _table([""] + list(s.universe), [
+        [p] + [_CELL_TEXT % (num(c.triple.truth), num(c.triple.indeterminacy),
+                             num(c.triple.falsity), num(c.mu)) for c in row]
+        for p, row in zip(s.parameters, s.cells)])
 
 
 def _matrix_table(rows, product, num) -> str:
@@ -123,17 +149,18 @@ def _cmd_validate(args) -> int:
             violations = []
         except SchemaError as exc:
             # the report names the file already; keep the loader's reason
-            violations = exc.violations or [str(exc).removeprefix(f"{path}: ")]
+            violations = exc.violations or [str(exc).removeprefix(f"{_escaped(path)}: ")]
         files.append({"path": str(path), "valid": not violations,
                       "violations": violations})
     if args.format == "json":
         print(_json({"files": files}))
     else:
         for entry in files:
+            path = _escaped(entry["path"])
             if entry["valid"]:
-                print(f"{entry['path']}: ok")
+                print(f"{path}: ok")
             else:
-                print(f"{entry['path']}: INVALID")
+                print(f"{path}: INVALID")
                 for v in entry["violations"]:
                     print(f"  - {v}")
     return 0 if all(entry["valid"] for entry in files) else 1
@@ -178,9 +205,9 @@ def _cmd_decide(args) -> int:
                    decision_scores=report.decision_scores,
                    ranking=report.ranking,
                    winners=report.winners)
-        print(_json(doc))
+        print(_to_jsonable(doc, _by_identity(_memoized(_six_decimals))))
         return 0
-    num = _memoized(_num)
+    num = _by_identity(_memoized(_num))
     print("product:")
     print(_set_table(product, num))
     for name, rows in matrices:
@@ -194,8 +221,8 @@ def _cmd_decide(args) -> int:
          ["falsity score"] + [num(v) for v in report.falsity_scores],
          ["decision score"] + [num(v) for v in report.decision_scores]])
     print(scores)
-    print(f"\nranking: {' > '.join(report.ranking)}")
-    print(f"winner: {', '.join(report.winners)}")
+    print(f"\nranking: {' > '.join(map(_escaped, report.ranking))}")
+    print(f"winner: {', '.join(map(_escaped, report.winners))}")
     return 0
 
 
@@ -232,9 +259,9 @@ def _gather_candidates(paths):
                 inside = sorted(p for p in path.iterdir()
                                 if p.suffix.lower() in (".json", ".csv"))
             except OSError as exc:
-                raise PnsError(f"cannot read directory {path}: {exc}") from None
+                raise PnsError(f"cannot read directory {_escaped(path)}: {exc}") from None
             if not inside:
-                raise PnsError(f"directory {path} holds no candidate files")
+                raise PnsError(f"directory {_escaped(path)} holds no candidate files")
             files.extend(inside)
         else:
             files.append(path)
@@ -274,7 +301,8 @@ def _cmd_select(args) -> int:
                 rows.append([c.label, _num(c.overall),
                              "yes" if c.significant else "no", ""])
         print(_table(["candidate", "similarity", "significant", "note"], rows))
-        print(f"\nselected: {', '.join(report.selected) if report.selected else '(none)'}")
+        selected = ", ".join(map(_escaped, report.selected)) or "(none)"
+        print(f"\nselected: {selected}")
     return 0 if report.selected else 1
 
 

@@ -79,18 +79,32 @@ def weighted_matrices(p: ProductPnsSet):
 def row_scores(rows) -> tuple:
     """Per element sum of the row maxima it attains.
 
-    `rows` is a non-empty sequence of equal-length rows, one entry per
-    element. In each row, every column whose entry equals the row maximum
-    adds that entry to the column's score. Ties all count; comparison is
-    exact, which the Fraction representation keeps meaningful.
+    `rows` is a non-empty sequence of equal-length rows of rationals
+    (`Fraction` or `int`), one entry per element. In each row, every
+    column whose entry equals the row maximum adds that entry to the
+    column's score. Ties all count; comparison is exact. Every score is a
+    Fraction, an all-zero column's too.
+
+    The work is on integers: the maximum is picked by cross-multiplying
+    (numerator, denominator) pairs, each column sums its credited
+    numerators per denominator, and each sum becomes one Fraction.
     """
-    totals = [Fraction(0)] * len(rows[0])
+    sums = [{} for _ in rows[0]]   # per column: denominator -> numerator sum
     for row in rows:
-        best = max(row)
+        top, under, at = row[0].numerator, row[0].denominator, []
         for j, value in enumerate(row):
-            if value == best:
-                totals[j] += value
-    return tuple(totals)
+            n, d = value.numerator, value.denominator
+            ahead = n * under - top * d   # denominators are positive
+            if ahead > 0:
+                top, under, at = n, d, [j]
+            elif ahead == 0:
+                at.append(j)
+        for j in at:
+            column = sums[j]
+            column[under] = column.get(under, 0) + top
+    zero = Fraction(0)   # shared by every column no row credits
+    return tuple(sum([Fraction(n, d) for d, n in column.items()], zero)
+                 for column in sums)
 
 
 def decision_scores(truth_scores, indeterminacy_scores, falsity_scores) -> tuple:

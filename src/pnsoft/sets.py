@@ -24,7 +24,7 @@ from .algebra import (
 from .errors import IncompatibleError, SchemaError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PossValue:
     """One cell: a triple and its possibility degree."""
 

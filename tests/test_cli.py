@@ -422,3 +422,82 @@ class TestSelectWithABadCandidate:
         assert main(["select", str(candidates / "zz.json"), APPLICANTS]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "zz.json" in err
+
+
+def one_cell(parameter="e1", element="u1", truth=0.5):
+    return json.dumps({"parameters": [parameter], "universe": [element],
+                       "cells": [[{"t": truth, "i": 0, "f": 0, "mu": 1}]]})
+
+
+class TestControlCharactersStayEscaped:
+    """A path or label holding control characters keeps each message,
+    table row and output line on one line; printable text is unchanged."""
+
+    @pytest.mark.parametrize("exists", [True, False], ids=["bad-cell", "missing"])
+    def test_a_path_is_escaped_in_the_error_line(self, tmp_path, capsys, exists):
+        path = tmp_path / "bad\nname.json"
+        if exists:
+            path.write_text(one_cell(truth=2))
+        assert main(["complement", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        line, end, rest = err.partition("\n")
+        assert line.startswith("error: ") and end and not rest, err
+        assert line.isprintable() and "bad\\nname.json" in line
+
+    def test_a_candidate_path_is_one_table_row(self, tmp_path, capsys):
+        (tmp_path / "bad\nname.json").write_text(one_cell(truth=2))
+        good = str(fixture("applicants") / "applicant_4.json")
+        assert main(["select", MODEL, str(tmp_path), good]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.isprintable() for line in lines)
+        [row] = [line for line in lines if "name" in line]
+        assert row.startswith("bad\\nname ") and "must lie in [0, 1]" in row
+        assert lines[-1] == "selected: applicant_4"
+
+    def test_a_path_is_escaped_in_the_validate_report(self, tmp_path, capsys):
+        path = tmp_path / "bad\nname.json"
+        path.write_text("{")
+        assert main(["validate", str(path)]) == 1
+        shown = str(path).replace("\n", "\\n")
+        assert capsys.readouterr().out == (
+            f"{shown}: INVALID\n  - JSON parse error at line 1, column 2: "
+            "Expecting property name enclosed in double quotes\n")
+
+    def test_a_directory_is_escaped_in_the_error_line(self, tmp_path, capsys,
+                                                       monkeypatch):
+        empty = tmp_path / "empty\ndir"
+        empty.mkdir()
+        shown = str(empty).replace("\n", "\\n")
+        assert main(["select", MODEL, str(empty)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: directory {shown} holds no candidate files\n")
+
+        def refuse(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "iterdir", refuse)
+        assert main(["select", MODEL, str(empty)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read directory {shown}: "
+            f"[Errno 13] Permission denied: {str(empty)!r}\n")
+
+    @pytest.mark.parametrize("label,shown", [("e\n1", "e\\n1"),
+                                             ("e\x1b[2J1", "e\\x1b[2J1")],
+                             ids=["newline", "escape"])
+    @pytest.mark.parametrize("where", ["parameter", "element"])
+    @pytest.mark.parametrize("command", ["complement", "decide"])
+    def test_a_label_is_escaped_in_tables(self, tmp_path, capsys,
+                                          label, shown, where, command):
+        def run(name, label):
+            path = tmp_path / name
+            path.write_text(one_cell(**{where: label}))
+            argv = [command, str(path)] + ([str(path)] if command == "decide" else [])
+            assert main(argv) == 0
+            return capsys.readouterr().out.splitlines()
+
+        stand_in = "Q" * len(shown)   # a printable label as wide as the escaped one
+        plain = run("plain.json", stand_in)
+        lines = run("hostile.json", label)
+        assert all(line.isprintable() for line in lines)
+        assert lines == [line.replace(stand_in, shown) for line in plain]

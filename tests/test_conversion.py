@@ -190,6 +190,24 @@ def test_memoized_table_numbers_match_the_longhand_ones(seed):
     assert num(1) == "1.0000" and num(Fraction(1)) == "1"
 
 
+def test_the_identity_memo_renders_reused_ids_right():
+    # each number is made and dropped between two calls, so its id is free
+    # for the next one unless the memo holds on to the number
+    num = pnsoft.cli._by_identity(_memoized(_num))
+    six = pnsoft.cli._by_identity(_memoized(_six_decimals))
+    rng = random.Random(12)
+    got, want = [], []
+    for _ in range(3000):
+        d = rng.choice([3, 7, 100, 10**6])
+        x = rng.choice([Fraction(rng.randint(0, d), d), rng.randint(0, 1),
+                        rng.randint(0, d) / d])
+        got.append((num(x), six(x)))
+        want.append((longhand_num(x), "%.6f" % float(x)))
+        del x
+    assert got == want
+    assert len(set(got)) > 500
+
+
 def test_unrenderable_objects_still_raise():
     with pytest.raises(TypeError, match="cannot render set"):
         _json({"x": [Fraction(1), {1, 2}]})

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,34 @@ class TestRowScores:
         rows = ((Fraction(1, 4),), (Fraction(3, 4),))
         assert row_scores(rows) == (Fraction(1),)
 
+    def test_uncredited_and_int_columns_score_a_fraction(self):
+        # an int 0 would render as 0.0000 in a table, Fraction(0) as 0
+        for rows, expected in [
+                (((0, 0), (Fraction(1, 3), 0), (1, 1)), (Fraction(4, 3), 1)),
+                (((0, Fraction(0)), (Fraction(1, 7), 0)), (Fraction(1, 7), 0)),
+                (((1, 0), (Fraction(1, 2), 0)), (Fraction(3, 2), 0))]:
+            scores = row_scores(rows)
+            assert scores == expected
+            assert all(type(x) is Fraction for x in scores)
+
+    @pytest.mark.parametrize("denominators", [(100,), (10**6,), (3, 7)],
+                             ids=["two-decimal", "six-decimal", "non-decimal"])
+    @pytest.mark.parametrize("columns", [1, 2, 9])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_fraction_longhand(self, denominators, columns, seed):
+        rng = random.Random(f"{seed}/{columns}/{denominators}")
+        # a few values per matrix, so rows often tie in several columns
+        values = [Fraction(rng.randint(0, d), d) for d in denominators for _ in range(3)]
+        rows = [tuple(rng.choice(values) for _ in range(columns)) for _ in range(15)]
+        rows += [(max(values),) * columns,  # a tie across every column
+                 (Fraction(0),) * columns,  # an all-zero row
+                 (0,) * columns,            # ints
+                 tuple(rng.choice([0, 1, *values]) for _ in range(columns))]
+        rng.shuffle(rows)
+        scores = row_scores(rows)
+        assert scores == longhand_row_scores(rows)
+        assert all(type(x) is Fraction for x in scores)
+
     def test_score_difference(self):
         assert decision_scores((1, 2), (0, 1), (1, 0)) == (0, 1)
         with pytest.raises(IncompatibleError, match="equal length"):
@@ -147,6 +176,17 @@ class TestDecide:
     @given(pair=mixed_pairs())
     def test_mixed_denominators_match_the_longhand_oracle(self, pair):
         assert_matches_oracle(*pair)
+
+
+def longhand_row_scores(rows):
+    """`row_scores` by its definition, in Fraction arithmetic."""
+    totals = [Fraction(0)] * len(rows[0])
+    for row in rows:
+        best = max(row)
+        for j, value in enumerate(row):
+            if value == best:
+                totals[j] += value
+    return tuple(totals)
 
 
 def assert_matches_oracle(a, b):

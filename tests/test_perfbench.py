@@ -53,3 +53,21 @@ def test_a_traced_union_records_the_layers_it_passes(tmp_path):
     names = {span[2] for span in json.loads(spans_path.read_text())}
     assert {"algebra.make_profile", "sets.union", "jsonio.load_any",
             "sets.from_rows"} <= names, names
+
+
+def test_a_traced_decide_records_the_layers_it_passes(tmp_path):
+    # the per-layer metrics of decide are read from these spans; a stage
+    # that is renamed or fused away would read 0 without any error
+    fixtures = ROOT / "src" / "pnsoft" / "fixtures"
+    spans_path = tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, "perfbench/traced_cli.py", str(spans_path), "--", "decide",
+         str(fixtures / "houses_expert_a.json"), str(fixtures / "houses_expert_b.json")],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    names = [span[2] for span in json.loads(spans_path.read_text())]
+    for name in ("products.and_product", "decision.weighted_matrices",
+                 "decision.decision_scores", "decision.decide"):
+        assert names.count(name) == 1, names
+    assert names.count("decision.row_scores") == 3, names

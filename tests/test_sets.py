@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -84,6 +86,26 @@ class TestConstruction:
             PnsSet.from_rows([], ["u1"], [])
         with pytest.raises(SchemaError, match="non-empty"):
             null_set([], ["u1"])
+
+
+class TestSlottedCells:
+    """Cells are slotted: no per-instance dict, and copies still work."""
+
+    def test_cells_have_no_instance_dict(self, cars):
+        checked = PossValue(T(0.4, 0.5, 0.8), 0.7)
+        for cell in (checked, cars[0].cells[0][0], complement(cars[0]).cells[0][0]):
+            assert not hasattr(cell, "__dict__")
+            assert not hasattr(cell.triple, "__dict__")
+
+    @pytest.mark.parametrize("copied", [lambda x: pickle.loads(pickle.dumps(x)),
+                                        copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_cells_and_sets_copy_to_equal_objects(self, cars, copied):
+        f, g = cars
+        checked = PossValue(T(0.4, 0.5, 0.8), 0.7)
+        for obj in (checked, checked.triple, f.cells[0][0], union(f, g), f):
+            twin = copied(obj)
+            assert twin == obj and hash(twin) == hash(obj)
+            assert type(twin) is type(obj)
 
 
 def violations(build, *args):
