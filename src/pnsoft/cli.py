@@ -138,6 +138,19 @@ def _add_profile(sub):
     sub.add_argument("--tconorm", choices=sorted(TCONORMS), default="max")
 
 
+def _add_separator(sub):
+    sub.add_argument("--separator", default="*",
+                     help="joins the two parameter labels (default: *)")
+
+
+def _add_similarity_options(sub):
+    sub.add_argument("-p", type=_order_arg, default=2,
+                     help=f"Minkowski order for the value factor, 1 to {MAX_ORDER} "
+                          "(default: 2)")
+    sub.add_argument("--threshold", type=_unit_arg, default=Fraction(1, 2),
+                     help="significance cutoff (default: 0.5)")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -280,18 +293,7 @@ def _cmd_select(args) -> int:
     report = select_by_similarity(model, candidates, p=args.p,
                                   threshold=args.threshold)
     if args.format == "json":
-        doc = {
-            "candidates": [
-                {"label": c.label, "overall": c.overall,
-                 "significant": c.significant, "error": c.error}
-                for c in report.candidates
-            ],
-            "selected": list(report.selected),
-            "significant": list(report.significant),
-            "p": report.p,
-            "threshold": report.threshold,
-        }
-        print(_json(doc))
+        print(_json(dataclasses.asdict(report)))
     else:
         rows = []
         for c in report.candidates:
@@ -335,26 +337,21 @@ def build_parser() -> argparse.ArgumentParser:
         s = sub.add_parser(name, help=f"{name.replace('-', ' ')} over parameter pairs")
         s.add_argument("first")
         s.add_argument("second")
-        s.add_argument("--separator", default="*",
-                       help="joins the two parameter labels (default: *)")
+        _add_separator(s)
         _add_format(s)
         s.set_defaults(func=_cmd_product, product=product)
 
     s = sub.add_parser("decide", help="rank universe elements from two observations")
     s.add_argument("first")
     s.add_argument("second")
-    s.add_argument("--separator", default="*")
+    _add_separator(s)
     _add_format(s)
     s.set_defaults(func=_cmd_decide)
 
     s = sub.add_parser("similarity", help="similarity measure of two sets")
     s.add_argument("first")
     s.add_argument("second")
-    s.add_argument("-p", type=_order_arg, default=2,
-                   help=f"Minkowski order for the value factor, 1 to {MAX_ORDER} "
-                        "(default: 2)")
-    s.add_argument("--threshold", type=_unit_arg, default=Fraction(1, 2),
-                   help="significance cutoff (default: 0.5)")
+    _add_similarity_options(s)
     _add_format(s)
     s.set_defaults(func=_cmd_similarity)
 
@@ -362,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("model")
     s.add_argument("candidates", nargs="+",
                    help="candidate files, or directories of them")
-    s.add_argument("-p", type=_order_arg, default=2)
-    s.add_argument("--threshold", type=_unit_arg, default=Fraction(1, 2))
+    _add_similarity_options(s)
     _add_format(s)
     s.set_defaults(func=_cmd_select)
 

@@ -1,9 +1,12 @@
 """AND and OR products: combine two sets over the same universe into a set
 indexed by ordered parameter pairs.
 
-Both products are defined with plain min and max, independent of whatever
-norm profile drives union and intersection. The worked decision matrices
-are reproducible only that way.
+Row (p, q) of the AND product is the min/max intersection of row p of the
+first set with row q of the second: min truth and possibility, max
+indeterminacy and falsity. Row (p, q) of the OR product is their min/max
+union. Both products use plain min and max, independent of whatever norm
+profile drives union and intersection. The worked decision matrices are
+reproducible only that way.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 from .algebra import _plain
 from .errors import IncompatibleError
-from .sets import PnsSet, _listed, _trusted_cell
+from .sets import PnsSet, _combined, _listed
 
 
 @dataclass(frozen=True)
@@ -39,46 +42,33 @@ def _require_same_universe(f: PnsSet, g: PnsSet):
             f"got ({_listed(f.universe)}) vs ({_listed(g.universe)})")
 
 
-def _degrees(s: PnsSet):
-    """Each cell as four (degree, numerator, denominator) triples: t, i, f, mu.
-
-    Unpacked once per operand cell, so the P*P*U comparisons of a product
-    run on plain ints.
-    """
-    return [[tuple((x, x.numerator, x.denominator)
-                   for x in (c.triple.truth, c.triple.indeterminacy,
-                             c.triple.falsity, c.mu))
-             for c in row] for row in s.cells]
-
+# The picks compare the degrees' own int slots. Every degree of a checked
+# cell is an exact Fraction: as_unit, the named norm families and the
+# complement make only those. Fraction keeps its terms in the slots
+# _numerator and _denominator on CPython 3.6 to 3.13, and CI runs the
+# product tests on 3.10 to 3.13; the public properties cost a call per
+# comparison. On a tie _lower keeps `a` and _higher keeps `b`.
 
 def _lower(a, b):
     # denominators are positive, so cross multiplication keeps the order
-    return a if a[1] * b[2] <= b[1] * a[2] else b
+    return a if a._numerator * b._denominator <= b._numerator * a._denominator else b
 
 
 def _higher(a, b):
-    return b if a[1] * b[2] <= b[1] * a[2] else a
+    return b if a._numerator * b._denominator <= b._numerator * a._denominator else a
 
 
-def _product(f, g, pick_truth, pick_other):
-    """Combine every parameter pair cellwise.
+def _product(f, g, on_truth, on_other):
+    """Row (p, q) combines row p of f with row q of g through `_combined`.
 
-    pick_truth chooses the truth and possibility degree of each cell,
-    pick_other its indeterminacy and falsity.
+    on_truth chooses the truth and possibility degree of each cell,
+    on_other its indeterminacy and falsity.
     """
     _require_same_universe(f, g)
-    fd, gd = _degrees(f), _degrees(g)
-    pairs = []
-    rows = []
-    for fp, frow in zip(f.parameters, fd):
-        for gp, grow in zip(g.parameters, gd):
-            pairs.append((fp, gp))
-            rows.append(tuple(
-                _trusted_cell(pick_truth(a[0], b[0])[0], pick_other(a[1], b[1])[0],
-                              pick_other(a[2], b[2])[0], pick_truth(a[3], b[3])[0])
-                for a, b in zip(frow, grow)
-            ))
-    return ProductPnsSet(pairs=tuple(pairs), universe=f.universe, cells=tuple(rows))
+    pairs = tuple((fp, gp) for fp in f.parameters for gp in g.parameters)
+    rows = tuple(_combined(fr, gr, on_truth, on_other)
+                 for fr in f.cells for gr in g.cells)
+    return ProductPnsSet(pairs=pairs, universe=f.universe, cells=rows)
 
 
 def and_product(f: PnsSet, g: PnsSet) -> ProductPnsSet:

@@ -206,16 +206,20 @@ def _require_same_labels(f: PnsSet, g: PnsSet):
             f"vs ({_listed(g.parameters)})x({_listed(g.universe)})")
 
 
+def _combined(fr, gr, on_truth, on_other) -> tuple:
+    """Combine two rows cell by cell: on_truth on truth and mu, on_other on
+    the rest."""
+    return tuple(_trusted_cell(on_truth(a.triple.truth, b.triple.truth),
+                               on_other(a.triple.indeterminacy, b.triple.indeterminacy),
+                               on_other(a.triple.falsity, b.triple.falsity),
+                               on_truth(a.mu, b.mu))
+                 for a, b in zip(fr, gr))
+
+
 def _cellwise(f: PnsSet, g: PnsSet, on_truth, on_other) -> PnsSet:
-    """Combine matching cells: on_truth on truth and mu, on_other on the rest."""
-    cells = tuple(
-        tuple(_trusted_cell(on_truth(a.triple.truth, b.triple.truth),
-                            on_other(a.triple.indeterminacy, b.triple.indeterminacy),
-                            on_other(a.triple.falsity, b.triple.falsity),
-                            on_truth(a.mu, b.mu))
-              for a, b in zip(fr, gr))
-        for fr, gr in zip(f.cells, g.cells)
-    )
+    """Combine matching rows through `_combined`."""
+    cells = tuple(_combined(fr, gr, on_truth, on_other)
+                  for fr, gr in zip(f.cells, g.cells))
     return PnsSet(parameters=f.parameters, universe=f.universe, cells=cells)
 
 

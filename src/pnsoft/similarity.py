@@ -149,7 +149,6 @@ def similarity(f: PnsSet, g: PnsSet, p: int = 2,
 @dataclass(frozen=True)
 class CandidateResult:
     label: str
-    report: SimilarityReport | None
     overall: object
     significant: bool
     error: str | None
@@ -184,12 +183,10 @@ def select_by_similarity(model: PnsSet, candidates, p: int = 2,
                 raise candidate
             report = similarity(model, candidate, p=p, threshold=threshold)
         except PnsError as exc:
-            results.append(CandidateResult(label=str(label), report=None,
-                                           overall=None, significant=False,
-                                           error=str(exc)))
+            results.append(CandidateResult(label=str(label), overall=None,
+                                           significant=False, error=str(exc)))
         else:
-            results.append(CandidateResult(label=str(label), report=report,
-                                           overall=report.overall,
+            results.append(CandidateResult(label=str(label), overall=report.overall,
                                            significant=report.significant,
                                            error=None))
     scored = [r for r in results if r.error is None]

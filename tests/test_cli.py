@@ -348,6 +348,26 @@ class TestErrors:
         capsys.readouterr()
 
 
+class TestHelp:
+    @staticmethod
+    def help_text(command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        return " ".join(capsys.readouterr().out.split())  # unwrapped
+
+    @pytest.mark.parametrize("command", ["similarity", "select"])
+    def test_similarity_options_state_their_range(self, command, capsys):
+        text = self.help_text(command, capsys)
+        assert f"1 to {MAX_ORDER} (default: 2)" in text
+        assert "significance cutoff (default: 0.5)" in text
+
+    @pytest.mark.parametrize("command", ["and-product", "or-product", "decide"])
+    def test_separator_states_its_default(self, command, capsys):
+        text = self.help_text(command, capsys)
+        assert "--separator SEPARATOR joins the two parameter labels (default: *)" in text
+
+
 class TestExponentLimit:
     LITERAL = "1e-1000000000"
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnsoft import (
+    DEFAULT_PROFILE,
     IncompatibleError,
     NeutrosophicTriple,
     PnsSet,
@@ -11,10 +12,12 @@ from pnsoft import (
     and_product,
     complement,
     equals,
+    intersection,
     null_set,
     or_product,
     to_pns_set,
     triple_leq,
+    union,
     universal_set,
 )
 
@@ -149,6 +152,64 @@ class TestFlattening:
         b = null_set(["e1"], ["u2"])
         with pytest.raises(IncompatibleError, match="shared universe"):
             and_product(a, b)
+
+
+#: two-decimal literals; each parse makes a new Fraction, so equal values
+#: such as 0.3 and 0.30 tie as distinct objects
+tied_degrees = st.sampled_from(["0", "0.25", "0.3", "0.30", "0.5", "1", "1.00"])
+
+
+@st.composite
+def two_decimal_pairs(draw):
+    universe = [f"u{j + 1}" for j in range(draw(st.integers(1, 3)))]
+
+    def one_set():
+        params = [f"e{k + 1}" for k in range(draw(st.integers(1, 3)))]
+        rows = [[tuple(draw(tied_degrees) for _ in range(4)) for _ in universe]
+                for _ in params]
+        return PnsSet.from_rows(params, universe, rows)
+
+    return one_set(), one_set()
+
+
+def degrees(cell):
+    return (cell.triple.truth, cell.triple.indeterminacy, cell.triple.falsity, cell.mu)
+
+
+class TestRowPairRule:
+    """Row (p, q) of a product combines row p of f with row q of g."""
+
+    @settings(max_examples=50)
+    @given(pair=mixed_pairs() | two_decimal_pairs())
+    def test_rows_are_min_max_intersections_and_unions(self, pair):
+        f, g = pair
+
+        def one_row(row):
+            return PnsSet.from_rows(["r"], f.universe, [row])
+        for product, combine in ((and_product, intersection), (or_product, union)):
+            h = product(f, g)
+            assert len(h.cells) == len(f.cells) * len(g.cells)
+            rows = iter(h.cells)
+            for fr in f.cells:
+                for gr in g.cells:
+                    want = combine(one_row(fr), one_row(gr), DEFAULT_PROFILE)
+                    assert next(rows) == want.cells[0]
+
+    @settings(max_examples=50)
+    @given(pair=mixed_pairs() | two_decimal_pairs())
+    def test_each_degree_is_an_operand_degree(self, pair):
+        f, g = pair
+        # on a tie the lower pick keeps f's degree and the higher pick g's
+        for product, truth_tie, other_tie in ((and_product, 0, 1), (or_product, 1, 0)):
+            ties = (truth_tie, other_tie, other_tie, truth_tie)
+            rows = iter(product(f, g).cells)
+            for fr in f.cells:
+                for gr in g.cells:
+                    for c, a, b in zip(next(rows), fr, gr):
+                        for got, x, y, tie in zip(degrees(c), degrees(a), degrees(b), ties):
+                            assert got is x or got is y
+                            if x == y:
+                                assert got is (x, y)[tie]
 
 
 class TestMixedDenominators:
