@@ -45,15 +45,18 @@ from .jsonio import (
     loads_pns,
     save_pns,
 )
-from .products import ProductPnsSet, and_product, or_product, to_pns_set
 from .sets import (
     PnsSet,
     PossValue,
+    ProductPnsSet,
+    and_product,
     complement,
     equals,
     intersection,
     is_subset,
     null_set,
+    or_product,
+    to_pns_set,
     union,
     universal_set,
 )

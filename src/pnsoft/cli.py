@@ -19,8 +19,7 @@ from .algebra import TCONORMS, TNORMS, _escaped, as_unit, make_profile
 from .decision import decide
 from .errors import PnsError, SchemaError
 from .jsonio import _memoized, _to_jsonable, decimal_string, load_any
-from .products import and_product, or_product, to_pns_set
-from .sets import complement, intersection, union
+from .sets import and_product, complement, intersection, or_product, to_pns_set, union
 from .similarity import MAX_ORDER, select_by_similarity, similarity
 
 
@@ -133,9 +132,11 @@ def _add_format(sub):
                      help="output rendering (default: table)")
 
 
-def _add_profile(sub):
-    sub.add_argument("--tnorm", choices=sorted(TNORMS), default="min")
-    sub.add_argument("--tconorm", choices=sorted(TCONORMS), default="max")
+def _add_profile(sub, role):
+    sub.add_argument("--tnorm", choices=sorted(TNORMS), default="min",
+                     help=f"t-norm family {role} (default: min)")
+    sub.add_argument("--tconorm", choices=sorted(TCONORMS), default="max",
+                     help=f"t-conorm family {role} (default: max)")
 
 
 def _add_separator(sub):
@@ -323,13 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
         s = sub.add_parser(name, help=f"{name} of two sets")
         s.add_argument("first")
         s.add_argument("second")
-        _add_profile(s)
+        _add_profile(s, "combining the two sets")
         _add_format(s)
         s.set_defaults(func=_cmd_combine, combine=combine)
 
     s = sub.add_parser("complement", help="complement of a set")
     s.add_argument("set")
-    _add_profile(s)  # accepted like the other set operators, and unused
+    _add_profile(s, "accepted as by union and intersect, and ignored: "
+                    "the complement is always the standard negation")
     _add_format(s)
     s.set_defaults(func=_cmd_complement)
 

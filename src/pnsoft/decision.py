@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IncompatibleError
-from .products import ProductPnsSet, and_product
-from .sets import PnsSet
+from .sets import PnsSet, ProductPnsSet, and_product
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,14 @@
-"""The possibility neutrosophic soft set data model and its set operators.
+"""The possibility neutrosophic soft set data model, its set operators and
+its AND and OR products.
 
 A set is a dense parameters x universe matrix. Each cell holds a
 neutrosophic triple plus a possibility degree weighting how credible that
 assignment is. Every operator is pure and returns a new set.
+
+Row (p, q) of the AND product is the min/max intersection of row p of the
+first set with row q of the second, and row (p, q) of the OR product their
+min/max union, whatever norm profile drives union and intersection: the
+worked decision matrices are reproducible only that way.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from .algebra import (
     _label,
     _plain,
     as_unit,
+    tconorm_max,
+    tnorm_min,
     triple_leq,
 )
 from .errors import IncompatibleError, SchemaError
@@ -116,9 +124,9 @@ def _trusted_cell(truth, indeterminacy, falsity, mu) -> PossValue:
     """A cell built without the range checks of its constructors.
 
     Only for degrees that are already checked Fractions: those `from_rows`
-    has just passed through as_unit, those the products pick from checked
-    cells, and those the named norm families compute from them, which stay
-    exact Fractions in [0, 1]. Equal to, and hashing like, the checked cell.
+    has just passed through as_unit, and those the named norm families
+    compute or pick from them, which stay exact Fractions in [0, 1].
+    Equal to, and hashing like, the checked cell.
     """
     triple = _new(NeutrosophicTriple)
     _set(triple, "truth", truth)
@@ -260,3 +268,62 @@ def complement(f: PnsSet) -> PnsSet:
         for row in f.cells
     )
     return PnsSet(parameters=f.parameters, universe=f.universe, cells=cells)
+
+
+# ---------------------------------------------------------------------------
+# AND and OR products
+
+@dataclass(frozen=True)
+class ProductPnsSet:
+    """Result of a product: rows are (first parameter, second parameter) pairs.
+
+    Pair rows enumerate the Cartesian product in row major order, the first
+    operand's parameter being the outer index.
+    """
+
+    pairs: tuple  # of (label, label)
+    universe: tuple
+    cells: tuple
+
+    @property
+    def shape(self):
+        return (len(self.pairs), len(self.universe))
+
+
+def _require_same_universe(f: PnsSet, g: PnsSet):
+    if f.universe != g.universe:
+        raise IncompatibleError(
+            f"products need a shared universe; "
+            f"got ({_listed(f.universe)}) vs ({_listed(g.universe)})")
+
+
+def _product(f, g, on_truth, on_other):
+    """Row (p, q) combines row p of f with row q of g through `_combined`.
+
+    on_truth chooses the truth and possibility degree of each cell,
+    on_other its indeterminacy and falsity.
+    """
+    _require_same_universe(f, g)
+    pairs = tuple((fp, gp) for fp in f.parameters for gp in g.parameters)
+    rows = tuple(_combined(fr, gr, on_truth, on_other)
+                 for fr in f.cells for gr in g.cells)
+    return ProductPnsSet(pairs=pairs, universe=f.universe, cells=rows)
+
+
+def and_product(f: PnsSet, g: PnsSet) -> ProductPnsSet:
+    """Pessimistic combination: min truth, max indeterminacy and falsity, min mu."""
+    return _product(f, g, tnorm_min, tconorm_max)
+
+
+def or_product(f: PnsSet, g: PnsSet) -> ProductPnsSet:
+    """Optimistic combination: max truth, min indeterminacy and falsity, max mu."""
+    return _product(f, g, tconorm_max, tnorm_min)
+
+
+def to_pns_set(p: ProductPnsSet, separator: str = "*") -> PnsSet:
+    """Flatten pair labels so a product can be saved or fed back in."""
+    labels = tuple(f"{a}{separator}{b}" for a, b in p.pairs)
+    if len(set(labels)) != len(labels):
+        raise IncompatibleError(
+            f"separator {_plain(separator)} does not keep pair labels distinct")
+    return PnsSet(parameters=labels, universe=p.universe, cells=p.cells)

@@ -76,6 +76,32 @@ def mixed_pairs(draw, max_params=3, max_elems=4):
     return one_set(), one_set()
 
 
+#: two-decimal literals; each parse makes a new Fraction, so equal values
+#: such as 0.3 and 0.30 tie as distinct objects
+TIED_DEGREES = ("0", "0.25", "0.3", "0.30", "0.5", "1", "1.00")
+
+
+@st.composite
+def two_decimal_pairs(draw, same_parameters=False):
+    """Two sets over one universe with degrees from TIED_DEGREES.
+
+    The parameter counts are drawn independently, as products allow,
+    unless same_parameters asks for the one list union and intersection need.
+    """
+    degree = st.sampled_from(TIED_DEGREES)
+    universe = [f"u{j + 1}" for j in range(draw(st.integers(1, 3)))]
+    shared = draw(st.integers(1, 3))
+
+    def one_set():
+        count = shared if same_parameters else draw(st.integers(1, 3))
+        params = [f"e{k + 1}" for k in range(count)]
+        rows = [[tuple(draw(degree) for _ in range(4)) for _ in universe]
+                for _ in params]
+        return PnsSet.from_rows(params, universe, rows)
+
+    return one_set(), one_set()
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE:
         return

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,13 +22,16 @@ from pnsoft import (
     triple_leq,
 )
 from pnsoft.algebra import (
+    DEFAULT_PROFILE,
     negation_standard,
+    tconorm_max,
     tconorm_probsum,
+    tnorm_min,
     tnorm_product,
 )
 from pnsoft.cli import main
 
-from conftest import PROFILES, fixture, mixed_degrees
+from conftest import PROFILES, TIED_DEGREES, fixture, mixed_degrees, two_decimal_pairs
 
 units = st.integers(0, 20).map(lambda k: Fraction(k, 20))
 triples = st.tuples(units, units, units).map(lambda t: NeutrosophicTriple(*t))
@@ -151,6 +155,83 @@ class TestScalarNorms:
         if y <= z:
             assert t(x, y) <= t(x, z) and s(x, y) <= s(x, z)
         assert t(x, y) <= min(x, y) <= max(x, y) <= s(x, y)
+
+
+def tied_set(degrees):
+    """A 2x3 set whose degrees are the next 24 of the literals `degrees`."""
+    return pnsoft.sets.PnsSet.from_rows(
+        ["e1", "e2"], ["u1", "u2", "u3"],
+        [[tuple(next(degrees) for _ in range(4)) for _ in range(3)]
+         for _ in range(2)])
+
+
+def cell_degrees(cell):
+    return (cell.triple.truth, cell.triple.indeterminacy, cell.triple.falsity, cell.mu)
+
+
+class TestMinMaxPick:
+    """tnorm_min and tconorm_max are the one exact min/max: of equal degrees
+    min keeps its first operand and max its second."""
+
+    def test_ties_keep_distinct_objects_apart(self):
+        x, y = Fraction(3, 10), Fraction("0.3")
+        assert x == y and x is not y
+        assert tnorm_min(x, y) is x and tnorm_min(y, x) is y
+        assert tconorm_max(x, y) is y and tconorm_max(y, x) is x
+
+    def test_strict_order_picks_the_right_operand(self):
+        low, high = Fraction(1, 3), Fraction(3, 10) + Fraction(1, 10)
+        for a, b in ((low, high), (high, low)):
+            assert tnorm_min(a, b) is low
+            assert tconorm_max(a, b) is high
+
+    @pytest.mark.parametrize("a,b", [
+        (Fraction(1, 2), 1), (1, Fraction(1, 2)), (0, Fraction(0)), (Fraction(0), 0),
+        (Fraction(1, 4), 0.5), (0.25, Fraction(1, 4)), (1, 0), (0.5, 0.5),
+    ])
+    def test_other_operands_take_the_builtin(self, a, b):
+        assert tnorm_min(a, b) is min(a, b)
+        assert tconorm_max(a, b) is max(b, a)
+
+    @settings(max_examples=50)
+    @given(pair=two_decimal_pairs(same_parameters=True))
+    def test_set_operators_keep_operand_degrees(self, pair):
+        f, g = pair
+        # union: max on truth and mu, min on the rest; intersection the reverse
+        for combine, truth_tie, other_tie in ((pnsoft.sets.union, 1, 0),
+                                              (pnsoft.sets.intersection, 0, 1)):
+            ties = (truth_tie, other_tie, other_tie, truth_tie)
+            h = combine(f, g, DEFAULT_PROFILE)
+            for hr, fr, gr in zip(h.cells, f.cells, g.cells):
+                for c, a, b in zip(hr, fr, gr):
+                    for got, x, y, tie in zip(cell_degrees(c), cell_degrees(a),
+                                              cell_degrees(b), ties):
+                        assert got is x or got is y
+                        if x == y:
+                            assert got is (x, y)[tie]
+
+    def test_fraction_keeps_the_slots_the_picks_read(self):
+        assert {"_numerator", "_denominator"} <= set(Fraction.__slots__), (
+            "tnorm_min and tconorm_max read Fraction._numerator and "
+            "_denominator; without them every min/max pick falls back to "
+            "the builtin min and max, three times slower")
+
+    def test_picks_never_call_the_rich_comparisons(self, monkeypatch):
+        degrees = itertools.cycle(TIED_DEGREES)
+        f, g = tied_set(degrees), tied_set(degrees)
+        operations = [
+            lambda: pnsoft.sets.union(f, g, DEFAULT_PROFILE),
+            lambda: pnsoft.sets.intersection(f, g, DEFAULT_PROFILE),
+            lambda: pnsoft.sets.and_product(f, g),
+            lambda: pnsoft.sets.or_product(f, g),
+        ]
+        before = [operation() for operation in operations]
+
+        def refuse(*args):
+            raise AssertionError("a min/max pick called a Fraction comparison")
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Fraction, name, refuse)
+        assert [operation() for operation in operations] == before
 
 
 class TestProfileCheck:

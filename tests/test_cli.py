@@ -367,6 +367,21 @@ class TestHelp:
         text = self.help_text(command, capsys)
         assert "--separator SEPARATOR joins the two parameter labels (default: *)" in text
 
+    @pytest.mark.parametrize("command", ["union", "intersect"])
+    def test_profile_flags_state_their_family_and_default(self, command, capsys):
+        text = self.help_text(command, capsys)
+        assert ("--tnorm {lukasiewicz,min,product} "
+                "t-norm family combining the two sets (default: min)") in text
+        assert ("--tconorm {lukasiewicz,max,probsum} "
+                "t-conorm family combining the two sets (default: max)") in text
+
+    def test_complement_says_it_ignores_the_profile_flags(self, capsys):
+        text = self.help_text("complement", capsys)
+        for flag, kind in (("--tnorm {lukasiewicz,min,product}", "t-norm"),
+                           ("--tconorm {lukasiewicz,max,probsum}", "t-conorm")):
+            assert (f"{flag} {kind} family accepted as by union and intersect, and "
+                    "ignored: the complement is always the standard negation") in text
+
 
 class TestExponentLimit:
     LITERAL = "1e-1000000000"

@@ -22,7 +22,7 @@ from pnsoft import (
 )
 
 from _reference import brute_and_product, brute_or_product
-from conftest import load_fixture, mixed_pairs
+from conftest import load_fixture, mixed_pairs, two_decimal_pairs
 
 units = st.integers(0, 20).map(lambda k: Fraction(k, 20))
 
@@ -152,24 +152,6 @@ class TestFlattening:
         b = null_set(["e1"], ["u2"])
         with pytest.raises(IncompatibleError, match="shared universe"):
             and_product(a, b)
-
-
-#: two-decimal literals; each parse makes a new Fraction, so equal values
-#: such as 0.3 and 0.30 tie as distinct objects
-tied_degrees = st.sampled_from(["0", "0.25", "0.3", "0.30", "0.5", "1", "1.00"])
-
-
-@st.composite
-def two_decimal_pairs(draw):
-    universe = [f"u{j + 1}" for j in range(draw(st.integers(1, 3)))]
-
-    def one_set():
-        params = [f"e{k + 1}" for k in range(draw(st.integers(1, 3)))]
-        rows = [[tuple(draw(tied_degrees) for _ in range(4)) for _ in universe]
-                for _ in params]
-        return PnsSet.from_rows(params, universe, rows)
-
-    return one_set(), one_set()
 
 
 def degrees(cell):
