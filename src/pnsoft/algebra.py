@@ -13,36 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ProfileError
-
-
-def _plain(value) -> str:
-    # error display only: echo 1.3 back as 1.3, not Fraction(13, 10), and
-    # keep a hostile literal such as 1e5000 from flooding the message
-    if isinstance(value, Fraction):
-        try:
-            return str(float(value))
-        except OverflowError:
-            return "-1e+308 or less" if value < 0 else "1e+308 or more"
-    text = repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
-
-
-def _escaped(text) -> str:
-    # display only: printable text reads as it is; control characters are
-    # escaped as repr escapes them, so the text stays on one line
-    text = str(text)
-    if text.isprintable():
-        return text
-    return "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in text)
-
-
-def _label(text) -> str:
-    # error display only: a short printable label reads as it is, so
-    # `cell (e1, u1)` stays plain; control characters are escaped, and long
-    # text is cut as `_plain` cuts it
-    text = _escaped(str(text)[:41])  # enough to know whether the result gets cut
-    return text if len(text) <= 40 else text[:37] + "..."
+from .errors import ProfileError, _listed, _plain
 
 
 #: Largest decimal exponent a number literal may carry. Fraction expands
@@ -153,7 +124,11 @@ def triple_leq(a: NeutrosophicTriple, b: NeutrosophicTriple) -> bool:
 # properties cost a call each, and the builtin min and max, through
 # Fraction.__lt__, are three times slower. On a tie tnorm_min keeps `a` and
 # tconorm_max keeps `b`. Operands without the slots, such as ints, take the
-# builtin min(a, b) or max(b, a), which keep the same operand.
+# builtin min(a, b) or max(b, a), which keep the same operand. The
+# Lukasiewicz clamps read a numerator against its positive denominator and
+# return a shared bound: they build and compare no Fraction of their own.
+_ZERO_DEGREE, _ONE_DEGREE = Fraction(0), Fraction(1)
+
 
 def tnorm_min(a, b):
     try:
@@ -168,7 +143,8 @@ def tnorm_product(a, b):
 
 
 def tnorm_lukasiewicz(a, b):
-    return max(a + b - 1, Fraction(0))
+    s = a + b - 1
+    return s if s.numerator >= 0 else _ZERO_DEGREE
 
 
 def tconorm_max(a, b):
@@ -183,7 +159,8 @@ def tconorm_probsum(a, b):
 
 
 def tconorm_lukasiewicz(a, b):
-    return min(a + b, Fraction(1))
+    s = a + b
+    return s if s.numerator <= s.denominator else _ONE_DEGREE
 
 
 def negation_standard(a):
@@ -219,8 +196,8 @@ def _resolve(table, name, kind):
     try:
         return table[name]
     except (KeyError, TypeError):  # TypeError: not even hashable
-        known = ", ".join(sorted(table))
-        raise ProfileError(f"unknown {kind} {_plain(name)} (known: {known})") from None
+        raise ProfileError(
+            f"unknown {kind} {_plain(name)} (known: {_listed(sorted(table))})") from None
 
 
 def make_profile(tnorm="min", tconorm="max") -> NormProfile:

@@ -15,9 +15,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import TCONORMS, TNORMS, _escaped, as_unit, make_profile
+from .algebra import TCONORMS, TNORMS, as_unit, make_profile
 from .decision import decide
-from .errors import PnsError, SchemaError
+from .errors import PnsError, SchemaError, _escaped, _plain
 from .jsonio import _memoized, _to_jsonable, decimal_string, load_any
 from .sets import and_product, complement, intersection, or_product, to_pns_set, union
 from .similarity import MAX_ORDER, select_by_similarity, similarity
@@ -49,8 +49,8 @@ def _num(x) -> str:
 def _by_identity(number):
     """`number` with each object rendered once. Make one per output.
 
-    For outputs that repeat objects: the entries of a decide report share
-    one Fraction per distinct value within a matrix, and product cells
+    For outputs that repeat objects: the weighted entries of a decide report
+    share one Fraction per (degree, possibility) pair, and product cells
     reuse their operands' degrees, so an id lookup answers most calls
     before the value memo behind it is asked. The memo keeps a reference
     to every object it has seen, so no id is reused while it lives; the
@@ -121,9 +121,9 @@ def _order_arg(text: str):
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"p must be an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"p must be an integer, got {_plain(text)}") from None
     if not 1 <= value <= MAX_ORDER:
-        raise argparse.ArgumentTypeError(f"p must lie in [1, {MAX_ORDER}], got {value}")
+        raise argparse.ArgumentTypeError(f"p must lie in [1, {MAX_ORDER}], got {_plain(value)}")
     return value
 
 
@@ -162,8 +162,7 @@ def _cmd_validate(args) -> int:
             load_any(path)
             violations = []
         except SchemaError as exc:
-            # the report names the file already; keep the loader's reason
-            violations = exc.violations or [str(exc).removeprefix(f"{_escaped(path)}: ")]
+            violations = exc.violations
         files.append({"path": str(path), "valid": not violations,
                       "violations": violations})
     if args.format == "json":

@@ -44,8 +44,8 @@ def weighted_matrices(p: ProductPnsSet):
     rows indexed like `p.cells`. Truth uses the probabilistic sum
     t + m - t*m so high possibility lifts the entry toward 1;
     indeterminacy and falsity just scale by m.
-    Each entry is computed once from the integer numerators and
-    denominators, and equal entries share one Fraction.
+    Entries of one (degree, possibility) pair share one Fraction, built
+    once from the integers; equal values of other pairs get their own.
     """
     blended, scaled = {}, {}   # (numerators, denominators) -> shared Fraction
 

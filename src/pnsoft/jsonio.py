@@ -20,9 +20,9 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from pathlib import Path
 
-from .algebra import ExponentError, _escaped, _label, _plain, parse_decimal
-from .errors import SchemaError
-from .sets import PnsSet, _listed, _summary
+from .algebra import ExponentError, parse_decimal
+from .errors import SchemaError, _escaped, _label, _listed, _plain
+from .sets import PnsSet
 
 
 @functools.lru_cache(maxsize=1024)
@@ -99,7 +99,7 @@ MEMO_CAP = 4096
 
 
 def _memoized(number):
-    """`number` with each distinct Fraction rendered once. Make one per output.
+    """`number` with up to MEMO_CAP distinct Fractions memoized. One per output.
 
     Keyed by (numerator, denominator), since hashing a Fraction costs more
     than rendering one. Anything but an exact Fraction goes straight to
@@ -138,8 +138,8 @@ def _to_jsonable(obj, number) -> str:
 
     Dispatch is on the exact type: a PnsSet renders its rows through
     `_rows`, bool and None are constants, any other type raises TypeError.
-    Give it one `_memoized` formatter per output, so that each distinct
-    Fraction is formatted once however many calls the output takes.
+    Give it one `_memoized` formatter per output, so that each of the first
+    MEMO_CAP distinct Fractions is formatted once, however often it recurs.
     """
     # frames go through %: "[%s]" % text copies text once, "[" + text + "]"
     # twice, and at the top level text is the whole output
@@ -294,12 +294,12 @@ def loads_csv(text: str) -> PnsSet:
             continue
         seen[(p, u)] = tuple(numbers)
     if problems:
-        raise SchemaError(_summary(problems), violations=problems)
+        raise SchemaError(violations=problems)
     parameters = list(dict.fromkeys(p for p, _ in seen))
     universe = list(dict.fromkeys(u for _, u in seen))
     missing = [(p, u) for p in parameters for u in universe if (p, u) not in seen]
     if missing:
-        where = ", ".join(f"({_label(p)}, {_label(u)})" for p, u in missing[:5])
+        where = _listed(missing, 5, lambda cell: "(%s, %s)" % tuple(map(_label, cell)))
         raise SchemaError(f"incomplete grid, missing cells {where}")
     grid = [[seen[(p, u)] for u in universe] for p in parameters]
     return PnsSet.from_rows(parameters, universe, grid)

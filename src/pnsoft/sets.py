@@ -22,14 +22,12 @@ from .algebra import (
     NormProfile,
     ONE,
     ZERO,
-    _label,
-    _plain,
     as_unit,
     tconorm_max,
     tnorm_min,
     triple_leq,
 )
-from .errors import IncompatibleError, SchemaError
+from .errors import IncompatibleError, SchemaError, _label, _listed, _plain
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +101,7 @@ class PnsSet:
                 built.append(cell)
             matrix.append(tuple(built))
         if violations:
-            raise SchemaError(_summary(violations), violations=violations)
+            raise SchemaError(violations=violations)
         return cls(parameters=parameters, universe=universe, cells=tuple(matrix))
 
     def cell(self, parameter, element) -> PossValue:
@@ -140,14 +138,6 @@ def _trusted_cell(truth, indeterminacy, falsity, mu) -> PossValue:
 
 _FIELDS = ("t", "i", "f", "mu")
 _MISSING = object()
-
-
-def _summary(violations) -> str:
-    """One bounded message line; the exception carries the full list."""
-    text = "; ".join(violations[:5])
-    if len(violations) > 5:
-        text += f"; and {len(violations) - 5} more"
-    return text
 
 
 def _check_cell(cell):
@@ -195,14 +185,6 @@ def _constant_set(parameters, universe, value):
     parameters, universe = list(parameters), list(universe)
     return PnsSet.from_rows(parameters, universe,
                             [[value] * len(universe)] * len(parameters))
-
-
-def _listed(labels) -> str:
-    """A label list in a message: its first six labels, then how many more."""
-    text = ", ".join(_label(x) for x in labels[:6])
-    if len(labels) > 6:
-        text += f", and {len(labels) - 6} more"
-    return text
 
 
 def _require_same_labels(f: PnsSet, g: PnsSet):

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import DegenerateRowError, PnsError
+from .errors import DegenerateRowError, PnsError, _plain
 from .sets import PnsSet, _require_same_labels
-from .algebra import NeutrosophicTriple, _plain, as_unit
+from .algebra import NeutrosophicTriple, as_unit
 
 
 def phi(triple: NeutrosophicTriple) -> Fraction:
@@ -34,7 +34,7 @@ MAX_ORDER = 1000
 
 def _check_p(p):
     if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= MAX_ORDER:
-        raise ValueError(f"p must be an integer in [1, {MAX_ORDER}], got {p!r}")
+        raise ValueError(f"p must be an integer in [1, {MAX_ORDER}], got {_plain(p)}")
 
 
 def _phi3(triple):

@@ -24,8 +24,10 @@ from pnsoft import (
 from pnsoft.algebra import (
     DEFAULT_PROFILE,
     negation_standard,
+    tconorm_lukasiewicz,
     tconorm_max,
     tconorm_probsum,
+    tnorm_lukasiewicz,
     tnorm_min,
     tnorm_product,
 )
@@ -118,6 +120,23 @@ class TestScalarNorms:
         assert pluk.tnorm(f("0.3"), f("0.4")) == 0
         assert pluk.tconorm(f("0.7"), f("0.6")) == 1
         assert pluk.tconorm(f("0.3"), f("0.4")) == Fraction(7, 10)
+
+    def test_lukasiewicz_clamps_call_no_comparison(self, monkeypatch):
+        # past its bound a clamp returns one shared Fraction; within it, the sum
+        f = Fraction
+        pairs = [(f("0.7"), f("0.6")), (f("0.3"), f("0.4")), (f("0.5"), f("0.5")),
+                 (f(1, 3), f(2, 3)), (0, 1), (1, 1)]
+        before = [(tnorm_lukasiewicz(a, b), tconorm_lukasiewicz(a, b)) for a, b in pairs]
+
+        def refuse(*args):
+            raise AssertionError("a Lukasiewicz clamp called a Fraction comparison")
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Fraction, name, refuse)
+        after = [(tnorm_lukasiewicz(a, b), tconorm_lukasiewicz(a, b)) for a, b in pairs]
+        assert after == before == [(f(3, 10), 1), (0, f(7, 10)), (0, 1),
+                                   (0, 1), (0, 1), (1, 1)]
+        assert tnorm_lukasiewicz(f("0.1"), f("0.2")) is tnorm_lukasiewicz(0, 0)
+        assert tconorm_lukasiewicz(f("0.9"), f("0.2")) is tconorm_lukasiewicz(1, 1)
 
     # make_profile trusts the named families, and the set operators build
     # unchecked cells from what they return, so this is their check: each

@@ -158,6 +158,24 @@ def test_message_quotes_a_bounded_number_of_violations():
     assert str(exc.value).endswith("; and 35 more")
 
 
+def test_a_schema_error_always_lists_its_reasons():
+    assert SchemaError("x").violations == ["x"]
+    assert str(SchemaError("x")) == "x"
+    assert SchemaError("x", violations=["a", "b"]).violations == ["a", "b"]
+
+
+@pytest.mark.parametrize("count,line", [
+    (1, "r0"),
+    (5, "r0; r1; r2; r3; r4"),
+    (40, "r0; r1; r2; r3; r4; and 35 more"),
+], ids=["1", "5", "40"])
+def test_a_schema_error_of_reasons_reads_as_one_bounded_line(count, line):
+    reasons = [f"r{k}" for k in range(count)]
+    exc = SchemaError(violations=reasons)
+    assert str(exc) == line
+    assert exc.violations == reasons
+
+
 @pytest.mark.parametrize("load", [
     lambda: load_pns(fixture("cars_assessment_a.json")),
     lambda: loads_csv("parameter,element,t,i,f,mu\n"

@@ -58,7 +58,13 @@ class TestValidate:
          "header must be parameter, element, t, i, f, mu; got parameter, element, t"),
         ("gone.json", None, "cannot read {path}: [Errno 2] No such file or "
                             "directory: '{path}'"),
-    ], ids=["json-parse", "csv-header", "unreadable"])
+        ("range.json", BAD_DOC, "cell (e1, u1): mu must lie in [0, 1], got 1.3"),
+        ("grid.csv", "parameter,element,t,i,f,mu\n"
+                     + "".join(f"e1,u{j},0.5,0,0,1\n" for j in range(1, 201))
+                     + "".join(f"e{k},u1,0.5,0,0,1\n" for k in range(2, 21)),
+         "incomplete grid, missing cells (e2, u2), (e2, u3), (e2, u4), (e2, u5), "
+         "(e2, u6), and 3776 more"),
+    ], ids=["json-parse", "csv-header", "unreadable", "range", "csv-grid"])
     def test_a_load_failure_names_the_file_once(self, tmp_path, capsys,
                                                 name, text, reason):
         path = tmp_path / name
@@ -70,6 +76,24 @@ class TestValidate:
         assert main(["validate", str(path), "--format", "json"]) == 1
         assert json.loads(capsys.readouterr().out) == {"files": [
             {"path": str(path), "valid": False, "violations": [reason]}]}
+
+    def test_every_load_failure_lists_a_reason(self, tmp_path, capsys):
+        texts = {"parse.json": "{", "layout.json": '{"cells": []}',
+                 "top.json": "[]", "nan.json": '{"t": NaN}', "range.json": BAD_DOC,
+                 "exponent.json": '{"t": 1e-1000000000}', "empty.csv": "",
+                 "header.csv": "a,b\n", "fields.csv": "parameter,element,t,i,f,mu\ne1\n",
+                 "grid.csv": "parameter,element,t,i,f,mu\n"
+                             "e1,u1,0,0,0,1\ne2,u2,0,0,0,1\n"}
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
+        paths = [str(tmp_path / name) for name in [*texts, "binary.json", "gone.json"]]
+        assert main(["validate", *paths, "--format", "json"]) == 1
+        files = json.loads(capsys.readouterr().out)["files"]
+        assert len(files) == len(paths)
+        for entry in files:
+            assert not entry["valid"]
+            assert entry["violations"] and all(entry["violations"]), entry
 
     def test_csv_runs_through_the_csv_loader(self, tmp_path, capsys):
         good = tmp_path / "good.csv"
@@ -325,6 +349,20 @@ class TestErrors:
         report = out if command == "validate" else err
         assert len(report.splitlines()) <= 2 and len(report) < 200 + len(str(path))
         assert "Exceeds the limit" not in report and "Traceback" not in report
+
+    @pytest.mark.parametrize("text,reason", [
+        ("9" * 100_000, "p must be an integer, got '" + "9" * 36 + "..."),
+        ("x" * 100_000, "p must be an integer, got '" + "x" * 36 + "..."),
+        ("9" * 4000, "p must lie in [1, 1000], got " + "9" * 37 + "..."),
+    ], ids=["digits", "letters", "too-large"])
+    def test_a_hostile_order_is_echoed_in_one_bounded_line(self, capsys, text, reason):
+        with pytest.raises(SystemExit) as exc:
+            main(["similarity", CARS_A, CARS_B, "-p", text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        assert line == f"pnsoft similarity: error: argument -p: {reason}"
+        assert len(err) < 400
 
     def test_tiny_degree_completes(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"
