@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .algebra import TCONORMS, TNORMS, as_unit, make_profile
 from .decision import decide
-from .errors import PnsError, SchemaError, _escaped, _plain
+from .errors import PnsError, SchemaError, _cut, _escaped, _plain
 from .jsonio import _memoized, _to_jsonable, decimal_string, load_any
 from .sets import and_product, complement, intersection, or_product, to_pns_set, union
 from .similarity import MAX_ORDER, select_by_similarity, similarity
@@ -88,8 +89,8 @@ _CELL_TEXT = "(%s,%s,%s)|%s"
 
 def _set_table(s, num) -> str:
     return _table([""] + list(s.universe), [
-        [p] + [_CELL_TEXT % (num(c.triple.truth), num(c.triple.indeterminacy),
-                             num(c.triple.falsity), num(c.mu)) for c in row]
+        [p] + [_CELL_TEXT % (num(c.truth), num(c.indeterminacy),
+                             num(c.falsity), num(c.mu)) for c in row]
         for p, row in zip(s.parameters, s.cells)])
 
 
@@ -109,6 +110,20 @@ def _emit_set(s, args) -> None:
 
 # ---------------------------------------------------------------------------
 # argument helpers
+
+#: a token of an argparse message: an argument it echoes quoted, or a word
+_TOKEN = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S+""")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, with every token of its messages cut as `_plain` cuts it.
+
+    A rejected choice or an unknown argument is echoed in its message;
+    the subparsers are built from this class too."""
+
+    def error(self, message):
+        super().error(_TOKEN.sub(lambda m: _cut(m[0]), message))
+
 
 def _unit_arg(text: str):
     try:
@@ -309,7 +324,7 @@ def _cmd_select(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pnsoft",
         description="possibility neutrosophic soft set toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -60,15 +60,15 @@ def weighted_matrices(p: ProductPnsSet):
     for row in p.cells:
         rt, ri, rf = [], [], []
         for c in row:
-            t, m = c.triple.truth, c.mu
+            t, m = c.truth, c.mu
             tn, td, mn, md = t.numerator, t.denominator, m.numerator, m.denominator
             key = (tn, td, mn, md)
             value = blended.get(key)
             if value is None:
                 value = blended[key] = Fraction(tn * md + mn * td - tn * mn, td * md)
             rt.append(value)
-            ri.append(scale(c.triple.indeterminacy, mn, md))
-            rf.append(scale(c.triple.falsity, mn, md))
+            ri.append(scale(c.indeterminacy, mn, md))
+            rf.append(scale(c.falsity, mn, md))
         wt.append(tuple(rt))
         wi.append(tuple(ri))
         wf.append(tuple(rf))

@@ -1,6 +1,12 @@
 """Exception types shared across the package, and how their messages show outside text."""
 
+import sys
 from fractions import Fraction
+
+
+def _cut(text) -> str:
+    # a text of up to 40 characters as it is, a longer one cut to 40
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def _plain(value) -> str:
@@ -11,8 +17,12 @@ def _plain(value) -> str:
             return str(float(value))
         except OverflowError:
             return "-1e+308 or less" if value < 0 else "1e+308 or more"
-    text = repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
+    try:
+        return _cut(repr(value))
+    except ValueError:  # an int past the int-to-str limit: described, not converted
+        if not isinstance(value, int):
+            raise
+        return f"an integer of more than {sys.get_int_max_str_digits()} digits"
 
 
 def _escaped(text) -> str:
@@ -28,8 +38,7 @@ def _label(text) -> str:
     # error display only: a short printable label reads as it is, so
     # `cell (e1, u1)` stays plain; control characters are escaped, and long
     # text is cut as `_plain` cuts it
-    text = _escaped(str(text)[:41])  # enough to know whether the result gets cut
-    return text if len(text) <= 40 else text[:37] + "..."
+    return _cut(_escaped(str(text)[:41]))  # enough to know whether it gets cut
 
 
 def _listed(items, limit=6, show=_label, sep=", ") -> str:

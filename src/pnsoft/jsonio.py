@@ -128,8 +128,8 @@ def _rows(s: PnsSet, number):
     """Each row of a set's cells as one JSON array, one template per cell."""
     for row in s.cells:
         yield "[%s]" % ", ".join([
-            _CELL % (number(c.triple.truth), number(c.triple.indeterminacy),
-                     number(c.triple.falsity), number(c.mu))
+            _CELL % (number(c.truth), number(c.indeterminacy),
+                     number(c.falsity), number(c.mu))
             for c in row])
 
 

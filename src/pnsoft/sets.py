@@ -30,17 +30,27 @@ from .algebra import (
 from .errors import IncompatibleError, SchemaError, _label, _listed, _plain
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PossValue:
-    """One cell: a triple and its possibility degree."""
+    """One cell, held flat: the three degrees of a triple and its possibility mu.
+    `PossValue(triple, mu)` checks them; `triple` builds the NeutrosophicTriple."""
 
-    triple: NeutrosophicTriple
+    truth: Fraction
+    indeterminacy: Fraction
+    falsity: Fraction
     mu: Fraction
 
-    def __post_init__(self):
-        if not isinstance(self.triple, NeutrosophicTriple):
-            object.__setattr__(self, "triple", NeutrosophicTriple(*self.triple))
-        object.__setattr__(self, "mu", as_unit(self.mu, "mu"))
+    def __new__(cls, triple, mu):
+        if not isinstance(triple, NeutrosophicTriple):
+            triple = NeutrosophicTriple(*triple)
+        return _trusted_cell(*triple, as_unit(mu, "mu"))
+
+    def __reduce__(self):  # __new__ needs arguments: pickle and copy use _trusted_cell
+        return _trusted_cell, (self.truth, self.indeterminacy, self.falsity, self.mu)
+
+    @property
+    def triple(self) -> NeutrosophicTriple:
+        return NeutrosophicTriple(self.truth, self.indeterminacy, self.falsity)
 
 
 @dataclass(frozen=True)
@@ -119,19 +129,17 @@ _set = object.__setattr__
 
 
 def _trusted_cell(truth, indeterminacy, falsity, mu) -> PossValue:
-    """A cell built without the range checks of its constructors.
+    """A cell built from its degrees, which it does not check: one allocation.
 
     Only for degrees that are already checked Fractions: those `from_rows`
-    has just passed through as_unit, and those the named norm families
-    compute or pick from them, which stay exact Fractions in [0, 1].
+    or `PossValue` has just passed through as_unit, and those the named
+    norm families compute or pick from them, exact Fractions in [0, 1].
     Equal to, and hashing like, the checked cell.
     """
-    triple = _new(NeutrosophicTriple)
-    _set(triple, "truth", truth)
-    _set(triple, "indeterminacy", indeterminacy)
-    _set(triple, "falsity", falsity)
     cell = _new(PossValue)
-    _set(cell, "triple", triple)
+    _set(cell, "truth", truth)
+    _set(cell, "indeterminacy", indeterminacy)
+    _set(cell, "falsity", falsity)
     _set(cell, "mu", mu)
     return cell
 
@@ -199,9 +207,9 @@ def _require_same_labels(f: PnsSet, g: PnsSet):
 def _combined(fr, gr, on_truth, on_other) -> tuple:
     """Combine two rows cell by cell: on_truth on truth and mu, on_other on
     the rest."""
-    return tuple(_trusted_cell(on_truth(a.triple.truth, b.triple.truth),
-                               on_other(a.triple.indeterminacy, b.triple.indeterminacy),
-                               on_other(a.triple.falsity, b.triple.falsity),
+    return tuple(_trusted_cell(on_truth(a.truth, b.truth),
+                               on_other(a.indeterminacy, b.indeterminacy),
+                               on_other(a.falsity, b.falsity),
                                on_truth(a.mu, b.mu))
                  for a, b in zip(fr, gr))
 
@@ -217,7 +225,7 @@ def is_subset(f: PnsSet, g: PnsSet) -> bool:
     """Cellwise order: possibility degrees and triples must both dominate."""
     _require_same_labels(f, g)
     return all(
-        a.mu <= b.mu and triple_leq(a.triple, b.triple)
+        a.mu <= b.mu and triple_leq(a, b)
         for fr, gr in zip(f.cells, g.cells)
         for a, b in zip(fr, gr)
     )
@@ -244,8 +252,7 @@ def complement(f: PnsSet) -> PnsSet:
     """Negate every triple and every possibility degree: (t, i, f), mu
     becomes (f, 1 - i, t), 1 - mu."""
     cells = tuple(
-        tuple(_trusted_cell(c.triple.falsity, 1 - c.triple.indeterminacy,
-                            c.triple.truth, 1 - c.mu)
+        tuple(_trusted_cell(c.falsity, 1 - c.indeterminacy, c.truth, 1 - c.mu)
               for c in row)
         for row in f.cells
     )

@@ -37,9 +37,9 @@ def _check_p(p):
         raise ValueError(f"p must be an integer in [1, {MAX_ORDER}], got {_plain(p)}")
 
 
-def _phi3(triple):
-    """3 * phi(triple) as an int numerator over the lcm of its denominators."""
-    t, i, f = triple.truth, triple.indeterminacy, triple.falsity
+def _phi3(cell):
+    """3 * phi of a cell's triple as an int numerator over the lcm of its denominators."""
+    t, i, f = cell.truth, cell.indeterminacy, cell.falsity
     td, id_, fd = t.denominator, i.denominator, f.denominator
     den = lcm(td, id_, fd)
     return (t.numerator * (den // td) + i.numerator * (den // id_)
@@ -65,8 +65,8 @@ def value_similarity(f: PnsSet, g: PnsSet, p: int = 2):
         sums = {}               # lcm L -> sum of the numerators of d**p over (3L)**p
         top, top_den = 0, 1     # the row maximum d is top / (3 * top_den)
         for a, b in zip(fr, gr):
-            x, x_den = _phi3(a.triple)
-            y, y_den = _phi3(b.triple)
+            x, x_den = _phi3(a)
+            y, y_den = _phi3(b)
             den = lcm(x_den, y_den)
             d = abs(x * (den // x_den) - y * (den // y_den))
             if p != 1:

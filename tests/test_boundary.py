@@ -7,6 +7,7 @@ path dropped shows up as a failing (entry point, field) pair.
 import io
 import json
 import re
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -240,6 +241,14 @@ def test_poss_value_takes_a_plain_tuple_triple():
     with pytest.raises(ValueError, match=r"^truth must lie in \[0, 1\], got 1.5$"):
         PossValue((1.5, 0, 0), 0)
 
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_an_int_too_long_to_print_is_named_by_cell_field_and_range(field):
+    cells = [dict(GOOD, **{field: 10 ** 5000}), GOOD]
+    assert violations_of(from_rows_flat, cells) == [
+        f"cell (e1, u1): {field} must lie in [0, 1], "
+        f"got an integer of more than {sys.get_int_max_str_digits()} digits"]
 
 # ---------------------------------------------------------------------------
 # hostile input: fixture bytes with spliced-in trouble

@@ -364,6 +364,24 @@ class TestErrors:
         assert line == f"pnsoft similarity: error: argument -p: {reason}"
         assert len(err) < 400
 
+    @pytest.mark.parametrize("argv,echo", [
+        (["union", CARS_A, CARS_B, "--tnorm", "x" * 3000],
+         "argument --tnorm: invalid choice: '" + "x" * 36 + "... (choose from "),
+        (["decide", CARS_A, CARS_B, "--format", "y" * 3000],
+         "argument --format: invalid choice: '" + "y" * 36 + "... (choose from "),
+        (["z" * 3000], "argument command: invalid choice: '" + "z" * 36 + "... (choose from "),
+        (["similarity", CARS_A, CARS_B, "--" + "q" * 3000],
+         "unrecognized arguments: --" + "q" * 35 + "..."),
+    ], ids=["choice", "format", "command", "option"])
+    def test_a_rejected_argument_is_echoed_in_one_bounded_line(self, capsys, argv, echo):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        assert echo in line
+        assert len(err) < 400
+
     def test_tiny_degree_completes(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"
         path.write_text('{"parameters": ["e1"], "universe": ["u1"],'

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from pnsoft import (
     PnsSet,
     PossValue,
     SchemaError,
+    and_product,
     complement,
     equals,
     from_document,
@@ -21,6 +23,7 @@ from pnsoft import (
     n_norm,
     negate_triple,
     null_set,
+    or_product,
     union,
     universal_set,
 )
@@ -89,7 +92,8 @@ class TestConstruction:
 
 
 class TestSlottedCells:
-    """Cells are slotted: no per-instance dict, and copies still work."""
+    """Cells are slotted and flat: four degrees, no per-instance dict and no
+    nested triple; copies still work."""
 
     def test_cells_have_no_instance_dict(self, cars):
         checked = PossValue(T(0.4, 0.5, 0.8), 0.7)
@@ -106,6 +110,45 @@ class TestSlottedCells:
             twin = copied(obj)
             assert twin == obj and hash(twin) == hash(obj)
             assert type(twin) is type(obj)
+
+    DEGREES = ("truth", "indeterminacy", "falsity", "mu")
+
+    def test_a_cell_is_four_flat_degrees(self, cars):
+        for cell in (PossValue(T(0.4, 0.5, 0.8), 0.7), cars[0].cells[0][0]):
+            assert tuple(f.name for f in dataclasses.fields(cell)) == self.DEGREES
+            assert type(cell).__slots__ == self.DEGREES
+            assert all(type(getattr(cell, name)) is Fraction for name in self.DEGREES)
+            assert cell.triple == T(cell.truth, cell.indeterminacy, cell.falsity)
+
+    def test_every_builder_makes_the_checked_cell(self, cars):
+        f, g = cars
+
+        def cells(s):
+            return [c for row in s.cells for c in row]
+
+        cellwise = list(zip(cells(f), cells(g)))
+        pairwise = [(a, b) for fr in f.cells for gr in g.cells for a, b in zip(fr, gr)]
+        cases = [
+            (PnsSet.from_rows(["e1"], ["u1"], [[("0.4", "1/2", 0.8, "0.7")]]),
+             [PossValue(T(0.4, 0.5, 0.8), 0.7)]),
+            (complement(f), [PossValue(negate_triple(a.triple), 1 - a.mu) for a in cells(f)]),
+            (and_product(f, g), [PossValue(n_norm(a.triple, b.triple), min(a.mu, b.mu))
+                                 for a, b in pairwise]),
+            (or_product(f, g), [PossValue(n_conorm(a.triple, b.triple), max(a.mu, b.mu))
+                                for a, b in pairwise]),
+        ]
+        for pr in PROFILES:
+            cases.append((union(f, g, pr), [
+                PossValue(n_conorm(a.triple, b.triple, pr), pr.tconorm(a.mu, b.mu))
+                for a, b in cellwise]))
+            cases.append((intersection(f, g, pr), [
+                PossValue(n_norm(a.triple, b.triple, pr), pr.tnorm(a.mu, b.mu))
+                for a, b in cellwise]))
+        for built, checked in cases:
+            assert len(cells(built)) == len(checked)
+            for cell, want in zip(cells(built), checked):
+                assert cell == want and hash(cell) == hash(want)
+                assert all(type(getattr(cell, name)) is Fraction for name in self.DEGREES)
 
 
 def violations(build, *args):
