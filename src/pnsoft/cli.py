@@ -273,40 +273,30 @@ def _cmd_similarity(args) -> int:
 
 
 def _gather_candidates(paths):
-    """(file stem, set) per candidate file; a file that does not load
-    carries its SchemaError in place of the set."""
-    files = []
+    """(file stem, set) per candidate file, each loaded when it is reached;
+    a file that does not load carries its SchemaError in place of the set."""
     for raw in paths:
         path = Path(raw)
-        try:
-            is_dir = path.is_dir()
-        except OSError:  # such as a name too long; loading it says why
-            is_dir = False
-        if is_dir:
+        files = [path]
+        if os.path.isdir(path):  # False too for a path it cannot inspect; loading says why
             try:
-                inside = sorted(p for p in path.iterdir()
-                                if p.suffix.lower() in (".json", ".csv"))
+                files = sorted(p for p in path.iterdir()
+                               if p.suffix.lower() in (".json", ".csv"))
             except OSError as exc:
                 raise PnsError(f"cannot read directory {_escaped(path)}: {exc}") from None
-            if not inside:
+            if not files:
                 raise PnsError(f"directory {_escaped(path)} holds no candidate files")
-            files.extend(inside)
-        else:
-            files.append(path)
-    candidates = []
-    for p in files:
-        try:
-            candidates.append((p.stem, load_any(p)))
-        except SchemaError as exc:
-            candidates.append((p.stem, exc))
-    return candidates
+        for p in files:
+            try:
+                candidate = load_any(p)
+            except SchemaError as exc:
+                candidate = exc
+            yield p.stem, candidate
 
 
 def _cmd_select(args) -> int:
-    model = load_any(args.model)
-    candidates = _gather_candidates(args.candidates)
-    report = select_by_similarity(model, candidates, p=args.p,
-                                  threshold=args.threshold)
+    report = select_by_similarity(load_any(args.model), _gather_candidates(args.candidates),
+                                  p=args.p, threshold=args.threshold)
     if args.format == "json":
         print(_json(dataclasses.asdict(report)))
     else:
@@ -391,7 +381,7 @@ def main(argv=None) -> int:
     except PnsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # commands raise no other OSError
+    except (OSError, UnicodeEncodeError) as exc:  # commands raise these only in writing
         # what is still buffered goes to devnull, so that the flush at
         # interpreter exit does not fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -215,7 +215,7 @@ def _load(path, loads) -> PnsSet:
     The path is named whole, with its control characters escaped.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {_escaped(path)}: {exc}") from None
     try:
@@ -229,7 +229,7 @@ def load_pns(path) -> PnsSet:
 
 
 def save_pns(s: PnsSet, path) -> None:
-    Path(path).write_text(dumps_pns(s))
+    Path(path).write_text(dumps_pns(s), encoding="utf-8")
 
 
 CSV_COLUMNS = ("parameter", "element", "t", "i", "f", "mu")

@@ -79,8 +79,8 @@ class PnsSet:
         cells directly. Problems raise one SchemaError listing every
         violation, each naming the offending coordinates.
         """
-        parameters = tuple(str(p) for p in parameters)
-        universe = tuple(str(u) for u in universe)
+        parameters = _texts("parameter", parameters)
+        universe = _texts("universe", universe)
         violations = []
         for what, labels in (("parameter", parameters), ("universe", universe)):
             if not labels:
@@ -122,6 +122,17 @@ class PnsSet:
     @property
     def shape(self):
         return (len(self.parameters), len(self.universe))
+
+
+def _texts(what, labels):
+    """Labels as text; an int too long to print is a SchemaError, not a ValueError."""
+    texts = []
+    for x in labels:
+        try:
+            texts.append(str(x))
+        except ValueError:  # past the int-to-str digit limit
+            raise SchemaError(f"{what} list: cannot use {_plain(x)} as a label") from None
+    return tuple(texts)
 
 
 _new = object.__new__

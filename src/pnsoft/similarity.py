@@ -167,34 +167,29 @@ def select_by_similarity(model: PnsSet, candidates, p: int = 2,
                          threshold=Fraction(1, 2)) -> SelectionReport:
     """Compare every (label, set) candidate against the model and pick the best.
 
-    Candidates that cannot be compared (label mismatch, degenerate rows, or
-    a PnsError given in place of the set, such as a file that did not load)
-    are carried in the report with their error instead of aborting the
-    whole run. Ties for the best score are all selected.
+    Candidates are read one at a time: a generator that loads each set when
+    asked holds one in memory, not all. Candidates that cannot be compared
+    (label mismatch, degenerate rows, or a PnsError given in place of the
+    set, such as a file that did not load) are carried in the report with
+    their error instead of aborting the whole run. Ties for the best score
+    are all selected.
     """
     threshold = as_unit(threshold, "threshold")
-    candidates = list(candidates)
-    if not candidates:
-        raise PnsError("no candidates to compare against the model")
     results = []
     for label, candidate in candidates:
         try:
             if isinstance(candidate, PnsError):
                 raise candidate
             report = similarity(model, candidate, p=p, threshold=threshold)
+            overall, significant, error = report.overall, report.significant, None
         except PnsError as exc:
-            results.append(CandidateResult(label=str(label), overall=None,
-                                           significant=False, error=str(exc)))
-        else:
-            results.append(CandidateResult(label=str(label), overall=report.overall,
-                                           significant=report.significant,
-                                           error=None))
+            overall, significant, error = None, False, str(exc)
+        results.append(CandidateResult(str(label), overall, significant, error))
+    if not results:
+        raise PnsError("no candidates to compare against the model")
     scored = [r for r in results if r.error is None]
-    if scored:
-        best = max(r.overall for r in scored)
-        selected = tuple(r.label for r in scored if r.overall == best)
-    else:
-        selected = ()
-    significant = tuple(r.label for r in scored if r.significant)
-    return SelectionReport(candidates=tuple(results), selected=selected,
-                           significant=significant, p=p, threshold=threshold)
+    best = max((r.overall for r in scored), default=None)
+    return SelectionReport(candidates=tuple(results),
+                           selected=tuple(r.label for r in scored if r.overall == best),
+                           significant=tuple(r.label for r in scored if r.significant),
+                           p=p, threshold=threshold)

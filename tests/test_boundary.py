@@ -250,6 +250,16 @@ def test_an_int_too_long_to_print_is_named_by_cell_field_and_range(field):
         f"cell (e1, u1): {field} must lie in [0, 1], "
         f"got an integer of more than {sys.get_int_max_str_digits()} digits"]
 
+
+@pytest.mark.parametrize("what", ["parameter", "universe"])
+def test_an_int_label_too_long_to_print_is_named_by_its_list(what):
+    labels = {"parameter": ["e1"], "universe": ["u1"], what: [10 ** 5000]}
+    with pytest.raises(SchemaError) as exc:
+        PnsSet.from_rows(labels["parameter"], labels["universe"], [[flat(GOOD)]])
+    assert exc.value.violations == [
+        f"{what} list: cannot use an integer of more than "
+        f"{sys.get_int_max_str_digits()} digits as a label"]
+
 # ---------------------------------------------------------------------------
 # hostile input: fixture bytes with spliced-in trouble
 

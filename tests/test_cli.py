@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import pnsoft
+import pnsoft.cli
 from pnsoft import equals, load_pns, loads_pns, make_profile, union
 from pnsoft.cli import main
 from pnsoft.similarity import MAX_ORDER
@@ -23,6 +25,17 @@ APPLICANTS = str(fixture("applicants"))
 
 BAD_DOC = ('{"parameters": ["e1"], "universe": ["u1"],'
            ' "cells": [[{"t": 0.5, "i": 0.2, "f": 0.6, "mu": 1.3}]]}')
+
+#: interpreter flags under which reading or writing in the locale's encoding fails
+STRICT_ENCODING = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+
+
+def child(*args, stdout=subprocess.PIPE, **env):
+    """A child interpreter run with `args`, the package importable, `env` added."""
+    src = str(Path(pnsoft.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src, **env), text=True, timeout=60)
 
 
 class TestValidate:
@@ -272,16 +285,32 @@ class TestSelect:
             f"error: cannot read directory {tmp_path}: "
             f"[Errno 13] Permission denied: '{tmp_path}'\n")
 
+    def test_each_candidate_is_scored_before_the_next_is_loaded(self, tmp_path,
+                                                                 capsys, monkeypatch):
+        for k in (1, 2, 3):
+            name = f"applicant_{k}.json"
+            (tmp_path / name).write_bytes((fixture("applicants") / name).read_bytes())
+        events = []
+
+        def logged(event, call):
+            def logging_call(*args, **kwargs):
+                events.append(event)
+                return call(*args, **kwargs)
+            return logging_call
+
+        measure = importlib.import_module("pnsoft.similarity")
+        monkeypatch.setattr(pnsoft.cli, "load_any", logged("load", pnsoft.cli.load_any))
+        monkeypatch.setattr(measure, "similarity", logged("score", measure.similarity))
+        assert main(["select", MODEL, str(tmp_path)]) == 0
+        assert "selected: applicant_" in capsys.readouterr().out
+        assert events == ["load"] + ["load", "score"] * 3   # the model, then each candidate
+
 
 class TestWriteFailures:
     """Output that cannot be written ends the run with status 1, no traceback."""
 
     def decide(self, stdout):
-        src = str(Path(pnsoft.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        return subprocess.run(
-            [sys.executable, "-m", "pnsoft.cli", "decide", HOUSES_A, HOUSES_B],
-            stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        return child("-m", "pnsoft.cli", "decide", HOUSES_A, HOUSES_B, stdout=stdout)
 
     def test_a_closed_pipe_exits_quietly(self):
         read, write = os.pipe()
@@ -301,6 +330,15 @@ class TestWriteFailures:
         assert done.stderr == ("error: cannot write output: "
                                "[Errno 28] No space left on device\n")
 
+    def test_a_label_stdout_cannot_encode_ends_in_one_error_line(self, tmp_path):
+        path = tmp_path / "accented.json"
+        path.write_text(one_cell("\u00e91", "\u00fc1"), encoding="utf-8")
+        done = child("-m", "pnsoft.cli", "complement", str(path), PYTHONIOENCODING="ascii")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            "error: cannot write output: 'ascii' codec can't encode character "
+            "'\\xfc' in position 4: ordinal not in range(128)\n")
+
 
 class TestErrors:
     def test_missing_file_is_a_domain_error(self, capsys):
@@ -312,14 +350,20 @@ class TestErrors:
     def test_undecodable_file_is_a_domain_error(self, tmp_path, capsys, name):
         path = tmp_path / name
         path.write_bytes(b"\xff\xfe\x00")
-        try:
-            path.read_text()
-        except UnicodeDecodeError as exc:
-            reason = str(exc)  # "'utf-8' codec can't decode byte 0xff ..."
-        else:
-            pytest.skip("the locale's encoding decodes any byte")
+        with pytest.raises(UnicodeDecodeError) as reason:
+            path.read_text(encoding="utf-8")  # "'utf-8' codec can't decode byte 0xff ..."
         assert main(["complement", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: cannot read {path}: {reason}\n"
+        assert capsys.readouterr().err == f"error: cannot read {path}: {reason.value}\n"
+
+    def test_files_are_read_and_written_as_utf8_whatever_the_locale(self, tmp_path):
+        done = child(*STRICT_ENCODING, "-m", "pnsoft.cli", "complement", CARS_A)
+        assert (done.returncode, done.stderr) == (0, "")
+        copy = tmp_path / "copy.json"
+        done = child(*STRICT_ENCODING, "-c", "import sys, pnsoft; "
+                     "pnsoft.save_pns(pnsoft.load_pns(sys.argv[1]), sys.argv[2])",
+                     CARS_A, str(copy))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert load_pns(copy) == load_pns(CARS_A)
 
     def test_malformed_set_reports_coordinates(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

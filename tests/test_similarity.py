@@ -382,3 +382,18 @@ class TestSelection:
         model, _ = hiring
         with pytest.raises(PnsError, match="no candidates"):
             select_by_similarity(model, [])
+
+    def test_a_generator_of_candidates_reads_as_the_list(self, hiring):
+        model, candidates = hiring
+        failed = SchemaError("zz.json: JSON parse error at line 1, column 2")
+        candidates = candidates + [("zz", failed)]
+        assert (select_by_similarity(model, (c for c in candidates), p=1)
+                == select_by_similarity(model, candidates, p=1))
+
+    def test_an_empty_generator_is_refused_as_the_empty_list(self, hiring):
+        model, _ = hiring
+        with pytest.raises(PnsError) as from_list:
+            select_by_similarity(model, [])
+        with pytest.raises(PnsError) as from_generator:
+            select_by_similarity(model, iter(()))
+        assert str(from_generator.value) == str(from_list.value)
