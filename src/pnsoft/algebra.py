@@ -56,8 +56,15 @@ def as_unit(value, what: str = "value") -> Fraction:
 
     Accepts Fraction, int, float, decimal strings and `p/q` strings. Out of
     range input raises ValueError rather than being clamped: clamping would
-    silently repair broken input data.
+    silently repair broken input data. An exact Fraction already in range,
+    which is what every parsed degree is, is returned after one comparison
+    of its int slots (see tnorm_min).
     """
+    try:
+        if type(value) is Fraction and 0 <= value._numerator <= value._denominator:
+            return value
+    except AttributeError:
+        pass
     if isinstance(value, bool):
         raise ValueError(f"{what} must be a number, got a boolean")
     if isinstance(value, Fraction):

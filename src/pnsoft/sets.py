@@ -123,6 +123,9 @@ class PnsSet:
     def shape(self):
         return (len(self.parameters), len(self.universe))
 
+    def __getstate__(self):  # private rows kept on the set are rebuilt, not pickled
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+
 
 def _texts(what, labels):
     """Labels as text; an int too long to print is a SchemaError, not a ValueError."""
@@ -163,12 +166,21 @@ def _check_cell(cell):
     """(checked cell, ()) for a well-formed raw cell, else (None, problems).
 
     A cell is a PossValue, which its constructor checked, a {"t", "i",
-    "f", "mu"} mapping or a flat (t, i, f, mu) sequence.
+    "f", "mu"} mapping or a flat (t, i, f, mu) sequence. Each degree goes
+    through as_unit once, whether it passes or not.
     """
-    if isinstance(cell, PossValue):
-        return cell, ()
+    check = as_unit
     if isinstance(cell, dict):
-        raw = [cell.get(field, _MISSING) for field in _FIELDS]
+        raw = ()
+        if type(cell) is dict:  # a subclass's __missing__ could invent a degree
+            try:
+                raw = cell["t"], cell["i"], cell["f"], cell["mu"]
+            except KeyError:
+                pass
+        if not raw:
+            raw, check = [cell.get(field, _MISSING) for field in _FIELDS], _present_unit
+    elif isinstance(cell, PossValue):
+        return cell, ()
     else:
         try:
             raw = () if isinstance(cell, str) else tuple(cell)
@@ -176,18 +188,25 @@ def _check_cell(cell):
             raw = ()
         if len(raw) != 4:
             return None, ["expected {t, i, f, mu} or (t, i, f, mu)"]
-    degrees, problems = [], []
-    for field, value in zip(_FIELDS, raw):
-        if value is _MISSING:
-            problems.append(f"missing {field!r}")
-            continue
+    degrees = map(check, raw, _FIELDS)  # four next() calls beat unpacking with *
+    try:
+        return _trusted_cell(next(degrees), next(degrees), next(degrees), next(degrees)), ()
+    except ValueError as exc:
+        problems = [str(exc)]
+    while True:  # a map whose function raised resumes with the next degree
         try:
-            degrees.append(as_unit(value, field))
+            for _ in degrees:
+                pass
+            return None, problems
         except ValueError as exc:
             problems.append(str(exc))
-    if problems:
-        return None, problems
-    return _trusted_cell(*degrees), ()
+
+
+def _present_unit(value, field):
+    """as_unit of a degree a mapping may lack: a missing one is a problem too."""
+    if value is _MISSING:
+        raise ValueError(f"missing {field!r}")
+    return as_unit(value, field)
 
 
 def null_set(parameters, universe) -> PnsSet:

@@ -37,13 +37,44 @@ def _check_p(p):
         raise ValueError(f"p must be an integer in [1, {MAX_ORDER}], got {_plain(p)}")
 
 
+# _phi3 and _mu read the int slots of Fraction, as algebra.tnorm_min does:
+# the public properties cost a call each. Degrees without the slots, such
+# as ints in a set built by hand, are read through the properties.
+
 def _phi3(cell):
     """3 * phi of a cell's triple as an int numerator over the lcm of its denominators."""
     t, i, f = cell.truth, cell.indeterminacy, cell.falsity
-    td, id_, fd = t.denominator, i.denominator, f.denominator
+    try:
+        tn, td, in_, id_ = t._numerator, t._denominator, i._numerator, i._denominator
+        fn, fd = f._numerator, f._denominator
+    except AttributeError:
+        tn, td, in_, id_ = t.numerator, t.denominator, i.numerator, i.denominator
+        fn, fd = f.numerator, f.denominator
     den = lcm(td, id_, fd)
-    return (t.numerator * (den // td) + i.numerator * (den // id_)
-            + f.numerator * (den // fd)), den
+    return tn * (den // td) + in_ * (den // id_) + fn * (den // fd), den
+
+
+def _mu(cell):
+    """A cell's possibility degree as (numerator, denominator) ints."""
+    mu = cell.mu
+    try:
+        return mu._numerator, mu._denominator
+    except AttributeError:
+        return mu.numerator, mu.denominator
+
+
+def _rows(s: PnsSet, key, cell_ints):
+    """The rows of `s` with each cell read once as `cell_ints(cell)` int pairs.
+
+    Built on first use and kept in the set's instance dict under `key`: a
+    set is immutable, so they never go stale, and a model compared with a
+    hundred candidates is read once. Equality, hashing, repr, asdict and
+    pickle see the fields only.
+    """
+    rows = s.__dict__.get(key)
+    if rows is None:
+        rows = s.__dict__[key] = tuple(tuple(map(cell_ints, row)) for row in s.cells)
+    return rows
 
 
 def value_similarity(f: PnsSet, g: PnsSet, p: int = 2):
@@ -57,16 +88,14 @@ def value_similarity(f: PnsSet, g: PnsSet, p: int = 2):
     divided by the p-th power of the exact row maximum, so the float it
     becomes lies in [1, n] and cannot underflow to 0 however large p is.
     """
-    _require_same_labels(f, g)
     _check_p(p)
+    _require_same_labels(f, g)
     n = len(f.universe)
     components = []
-    for fr, gr in zip(f.cells, g.cells):
+    for fr, gr in zip(_rows(f, "_phi3_rows", _phi3), _rows(g, "_phi3_rows", _phi3)):
         sums = {}               # lcm L -> sum of the numerators of d**p over (3L)**p
         top, top_den = 0, 1     # the row maximum d is top / (3 * top_den)
-        for a, b in zip(fr, gr):
-            x, x_den = _phi3(a)
-            y, y_den = _phi3(b)
+        for (x, x_den), (y, y_den) in zip(fr, gr):
             den = lcm(x_den, y_den)
             d = abs(x * (den // x_den) - y * (den // y_den))
             if p != 1:
@@ -95,11 +124,10 @@ def possibility_similarity(f: PnsSet, g: PnsSet):
     """
     _require_same_labels(f, g)
     components = []
-    for label, fr, gr in zip(f.parameters, f.cells, g.cells):
+    for label, fr, gr in zip(f.parameters, _rows(f, "_mu_rows", _mu),
+                             _rows(g, "_mu_rows", _mu)):
         diffs, sums = {}, {}    # lcm of a mu pair -> sums of |a - b| and a + b
-        for cell_a, cell_b in zip(fr, gr):
-            a, b = cell_a.mu, cell_b.mu
-            x, x_den, y, y_den = a.numerator, a.denominator, b.numerator, b.denominator
+        for (x, x_den), (y, y_den) in zip(fr, gr):
             den = lcm(x_den, y_den)
             x, y = x * (den // x_den), y * (den // y_den)
             diffs[den] = diffs.get(den, 0) + abs(x - y)
@@ -175,6 +203,7 @@ def select_by_similarity(model: PnsSet, candidates, p: int = 2,
     are all selected.
     """
     threshold = as_unit(threshold, "threshold")
+    _check_p(p)
     results = []
     for label, candidate in candidates:
         try:

@@ -9,6 +9,7 @@ import json
 import re
 import sys
 import tempfile
+from collections import defaultdict
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -197,6 +198,61 @@ def test_each_loaded_degree_is_checked_exactly_once(load, monkeypatch):
     cells = len(s.parameters) * len(s.universe)
     assert len(calls) == 4 * cells
     assert sorted(set(calls)) == sorted(FIELDS)
+
+
+@pytest.mark.parametrize("cell,checked,messages", [
+    ({"t": 2, "i": 0.5, "f": "x", "mu": 1}, list(FIELDS),
+     ["t must lie in [0, 1], got 2", "f is not a number: 'x'"]),
+    ((2, 0.5, "x", True), list(FIELDS),
+     ["t must lie in [0, 1], got 2", "f is not a number: 'x'",
+      "mu must be a number, got a boolean"]),
+    ({"i": 2, "mu": 1}, ["i", "mu"],
+     ["missing 't'", "i must lie in [0, 1], got 2", "missing 'f'"]),
+], ids=["mapping", "sequence", "missing"])
+def test_a_failing_cell_checks_each_degree_once(cell, checked, messages, monkeypatch):
+    calls = []
+    real = pnsoft.algebra.as_unit
+
+    def counting(value, what="value"):
+        calls.append(what)
+        return real(value, what)
+
+    monkeypatch.setattr(pnsoft.algebra, "as_unit", counting)
+    monkeypatch.setattr(pnsoft.sets, "as_unit", counting)
+    with pytest.raises(SchemaError) as exc:
+        PnsSet.from_rows(["e1"], ["u1"], [[cell]])
+    assert calls == checked
+    assert exc.value.violations == [f"cell (e1, u1): {m}" for m in messages]
+
+
+def test_a_defaulting_mapping_is_not_asked_for_a_missing_degree():
+    cell = defaultdict(float, {"t": 0.5, "i": 0.5})
+    with pytest.raises(SchemaError) as exc:
+        PnsSet.from_rows(["e1"], ["u1"], [[cell]])
+    assert exc.value.violations == ["cell (e1, u1): missing 'f'", "cell (e1, u1): missing 'mu'"]
+    assert cell == {"t": 0.5, "i": 0.5}
+
+
+class _Degree(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("value,message", [
+    (Fraction(3, 2), "t must lie in [0, 1], got 1.5"),
+    (Fraction(-1, 4), "t must lie in [0, 1], got -0.25"),
+    (True, "t must be a number, got a boolean"),
+    (_Degree(3, 2), "t must lie in [0, 1], got 1.5"),
+], ids=["above", "below", "bool", "subclass"])
+def test_a_degree_off_the_fast_path_keeps_its_message(value, message):
+    with pytest.raises(ValueError) as exc:
+        pnsoft.algebra.as_unit(value, "t")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(1, 3), Fraction(1), _Degree(1, 2)],
+                         ids=["zero", "third", "one", "subclass"])
+def test_a_degree_in_range_is_returned_as_it_is(value):
+    assert pnsoft.algebra.as_unit(value, "t") is value
 
 
 def one_row(cells):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import importlib
+import pickle
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -8,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from pnsoft import (
     DegenerateRowError,
+    IncompatibleError,
     NeutrosophicTriple,
     PnsError,
     PnsSet,
@@ -19,6 +23,9 @@ from pnsoft import (
     similarity,
     value_similarity,
 )
+from pnsoft.cli import _json, _num, _set_table
+from pnsoft.jsonio import dumps_pns
+from pnsoft.sets import _trusted_cell
 from pnsoft.similarity import MAX_ORDER
 
 from _reference import brute_similarity
@@ -155,6 +162,14 @@ class TestComponents:
             with pytest.raises(ValueError, match="p must be"):
                 value_similarity(f, g, p=bad)
 
+    def test_p_is_checked_before_the_labels(self, cars):
+        f, _ = cars
+        other = PnsSet.from_rows(["x"], ["u1"], [[(0, 0, 0, 1)]])
+        with pytest.raises(ValueError, match="p must be"):
+            similarity(other, f, p=0)
+        with pytest.raises(IncompatibleError):
+            similarity(other, f, p=1)
+
     def test_order_is_capped(self, cars):
         f, g = cars
         value_similarity(f, g, p=MAX_ORDER)
@@ -207,6 +222,14 @@ class TestIntegerKernel:
             assert got == want
         else:
             assert_identical(got, want, Fraction)
+
+    def test_degrees_without_fraction_slots_are_read_too(self):
+        # the bare constructor stores what it is given, such as int degrees
+        ints = PnsSet(("e1",), ("u1", "u2"),
+                      ((_trusted_cell(1, 0, 0, 1), _trusted_cell(0, 1, 1, 1)),))
+        checked = PnsSet.from_rows(["e1"], ["u1", "u2"], [[(1, 0, 0, 1), (0, 1, 1, 1)]])
+        half = PnsSet.from_rows(["e1"], ["u1", "u2"], [[(.5, 0, 0, .5), (0, .5, 1, 1)]])
+        assert similarity(ints, half, p=1) == similarity(checked, half, p=1)
 
     @pytest.mark.parametrize("p", [1, 2, MAX_ORDER])
     def test_identical_rows(self, cars, p):
@@ -378,6 +401,49 @@ class TestSelection:
         assert calls == {"value_similarity": len(candidates),
                          "possibility_similarity": len(candidates)}
 
+    @pytest.mark.parametrize("p", [0, "x", 2.0, MAX_ORDER + 1])
+    def test_p_is_checked_when_no_candidate_is_comparable(self, hiring, p):
+        model, _ = hiring
+        relabelled = PnsSet.from_rows(["x"], ["u1"], [[(0, 0, 0, 1)]])
+        for candidates in ([("a", SchemaError("bad"))], [("a", relabelled)]):
+            with pytest.raises(ValueError, match="p must be"):
+                select_by_similarity(model, candidates, p=p)
+
+    def test_p_is_checked_before_the_first_candidate_is_read(self, hiring):
+        model, candidates = hiring
+        read = []
+
+        def loading():
+            for label, candidate in candidates:
+                read.append(label)
+                yield label, candidate
+
+        with pytest.raises(ValueError, match="p must be"):
+            select_by_similarity(model, loading(), p=0)
+        assert read == []
+
+    def test_each_set_is_read_into_rows_once(self, hiring, monkeypatch):
+        # fresh objects: the fixture's sets may already hold their rows
+        model, candidates = hiring
+        model = PnsSet(model.parameters, model.universe, model.cells)
+        relabelled = PnsSet.from_rows(["x"], ["u1"], [[(0, 0, 0, 1)]])
+        candidates = [(label, PnsSet(c.parameters, c.universe, c.cells))
+                      for label, c in candidates] + [("odd", relabelled)]
+        calls = Counter()
+        for name in ("_phi3", "_mu"):
+            def counted(cell, _name=name, _read=getattr(similarity_module, name)):
+                calls[_name] += 1
+                return _read(cell)
+            monkeypatch.setattr(similarity_module, name, counted)
+        s = select_by_similarity(model, candidates)
+        assert s.selected == ("applicant_4",)
+        cells = sum(len(c.parameters) * len(c.universe) for _, c in candidates[:-1])
+        cells += len(model.parameters) * len(model.universe)
+        assert calls == {"_phi3": cells, "_mu": cells}
+        calls.clear()
+        assert select_by_similarity(model, candidates) == s
+        assert calls == {}
+
     def test_empty_candidate_list_refused(self, hiring):
         model, _ = hiring
         with pytest.raises(PnsError, match="no candidates"):
@@ -397,3 +463,28 @@ class TestSelection:
         with pytest.raises(PnsError) as from_generator:
             select_by_similarity(model, iter(()))
         assert str(from_generator.value) == str(from_list.value)
+
+
+class TestRowsKeptOnASet:
+    """The int rows the measure keeps on a set change nothing a caller sees."""
+
+    def test_a_compared_set_looks_as_before(self, cars):
+        f, g = (PnsSet(s.parameters, s.universe, s.cells) for s in cars)
+        before = (repr(f), hash(f), dataclasses.asdict(f), pickle.dumps(f),
+                  dumps_pns(f), _json(f), _set_table(f, _num))
+        similarity(f, g)
+        assert f == cars[0]
+        assert (repr(f), hash(f), dataclasses.asdict(f), pickle.dumps(f),
+                dumps_pns(f), _json(f), _set_table(f, _num)) == before
+        for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+            assert twin == f
+            assert similarity(twin, g) == similarity(f, g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(pair=same_label_pairs(), p=st.sampled_from([1, 2, 3]))
+    def test_a_second_comparison_reads_the_kept_rows(self, pair, p):
+        f, g = pair
+        for _ in range(2):  # the second pass reads the rows the first one kept
+            assert value_similarity(f, g, p) == longhand_value_similarity(f, g, p)
+            assert (outcome(possibility_similarity, f, g)
+                    == outcome(longhand_possibility_similarity, f, g))
