@@ -19,7 +19,7 @@ from pathlib import Path
 from .algebra import TCONORMS, TNORMS, as_unit, make_profile
 from .decision import decide
 from .errors import PnsError, SchemaError, _cut, _escaped, _plain
-from .jsonio import _memoized, _to_jsonable, decimal_string, load_any
+from .jsonio import _chunks, _memoized, decimal_string, load_any
 from .sets import and_product, complement, intersection, or_product, to_pns_set, union
 from .similarity import MAX_ORDER, select_by_similarity, similarity
 
@@ -31,9 +31,31 @@ def _six_decimals(x) -> str:
     return "%.6f" % float(x)
 
 
-def _json(doc) -> str:
-    """JSON text with every number fixed at six decimal places."""
-    return _to_jsonable(doc, _memoized(_six_decimals))
+def _json(doc):
+    """JSON text of `doc` in parts, every number fixed at six decimal places."""
+    return _chunks(doc, _memoized(_six_decimals))
+
+
+def _lines(lines):
+    """The parts of text made of `lines`: each line, a newline between two."""
+    for n, line in enumerate(lines):
+        if n:
+            yield "\n"
+        yield line
+
+
+def _write(parts) -> None:
+    """Write an output to stdout part by part as the parts are made, then
+    its one closing newline.
+
+    No output is held whole: a part is at most one table line or one
+    matrix row. So a write that fails partway leaves a prefix of the
+    output on stdout.
+    """
+    write = sys.stdout.write
+    for part in parts:
+        write(part)
+    write("\n")
 
 
 def _num(x) -> str:
@@ -68,34 +90,36 @@ def _by_identity(number):
     return cached
 
 
-def _table(headers, rows) -> str:
-    """Aligned columns; the headers and each row's first cell are labels.
+def _table(headers, rows):
+    """The lines of aligned columns; the headers and each row's first cell
+    are labels.
 
     A label that is not printable is escaped, so that each row stays on
-    one line; printable labels keep their exact text.
+    one line; printable labels keep their exact text. The column widths
+    need every row, so the cell texts of the whole table are kept until
+    its last line is made.
     """
     headers = [_escaped(h) for h in headers]
     rows = [row if row[0].isprintable() else [_escaped(row[0]), *row[1:]]
             for row in rows]
     widths = [max(map(len, column)) for column in zip(headers, *rows)]
 
-    def line(cells):
-        return "  ".join([cell.ljust(w) for cell, w in zip(cells, widths)]).rstrip()
-    return "\n".join([line(headers)] + [line(row) for row in rows])
+    for cells in (headers, *rows):
+        yield "  ".join([cell.ljust(w) for cell, w in zip(cells, widths)]).rstrip()
 
 
 _CELL_TEXT = "(%s,%s,%s)|%s"
 
 
-def _set_table(s, num) -> str:
+def _set_table(s, num):
     return _table([""] + list(s.universe), [
         [p] + [_CELL_TEXT % (num(c.truth), num(c.indeterminacy),
                              num(c.falsity), num(c.mu)) for c in row]
         for p, row in zip(s.parameters, s.cells)])
 
 
-def _matrix_table(rows, product, num) -> str:
-    """Weighted matrix rows as a table labelled like the flat `product`."""
+def _matrix_table(rows, product, num):
+    """Weighted matrix rows as table lines labelled like the flat `product`."""
     return _table([""] + list(product.universe),
                   [[label] + [num(v) for v in row]
                    for label, row in zip(product.parameters, rows)])
@@ -103,9 +127,9 @@ def _matrix_table(rows, product, num) -> str:
 
 def _emit_set(s, args) -> None:
     if args.format == "json":
-        print(_json(s))
+        _write(_json(s))
     else:
-        print(_set_table(s, _memoized(_num)))
+        _write(_lines(_set_table(s, _memoized(_num))))
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +204,20 @@ def _cmd_validate(args) -> int:
             violations = exc.violations
         files.append({"path": str(path), "valid": not violations,
                       "violations": violations})
-    if args.format == "json":
-        print(_json({"files": files}))
-    else:
-        for entry in files:
-            path = _escaped(entry["path"])
-            if entry["valid"]:
-                print(f"{path}: ok")
-            else:
-                print(f"{path}: INVALID")
-                for v in entry["violations"]:
-                    print(f"  - {v}")
+    _write(_json({"files": files}) if args.format == "json"
+           else _lines(_validate_lines(files)))
     return 0 if all(entry["valid"] for entry in files) else 1
+
+
+def _validate_lines(files):
+    for entry in files:
+        path = _escaped(entry["path"])
+        if entry["valid"]:
+            yield f"{path}: ok"
+        else:
+            yield f"{path}: INVALID"
+            for v in entry["violations"]:
+                yield f"  - {v}"
 
 
 def _cmd_combine(args) -> int:
@@ -216,7 +242,7 @@ def _cmd_product(args) -> int:
 def _cmd_decide(args) -> int:
     report = decide(load_any(args.first), load_any(args.second))
     # flatten the pair labels once, so a separator that merges two of
-    # them fails before anything is printed
+    # them fails before anything is written
     product = to_pns_set(report.product, args.separator)
     matrices = (("truth", report.weighted_truth),
                 ("indeterminacy", report.weighted_indeterminacy),
@@ -233,43 +259,51 @@ def _cmd_decide(args) -> int:
                    decision_scores=report.decision_scores,
                    ranking=report.ranking,
                    winners=report.winners)
-        print(_to_jsonable(doc, _by_identity(_memoized(_six_decimals))))
-        return 0
+        _write(_chunks(doc, _by_identity(_memoized(_six_decimals))))
+    else:
+        _write(_lines(_decide_lines(report, product, matrices)))
+    return 0
+
+
+def _decide_lines(report, product, matrices):
     num = _by_identity(_memoized(_num))
-    print("product:")
-    print(_set_table(product, num))
+    yield "product:"
+    yield from _set_table(product, num)
     for name, rows in matrices:
-        print(f"\nweighted {name}:")
-        print(_matrix_table(rows, product, num))
-    print()
-    scores = _table(
+        yield ""
+        yield f"weighted {name}:"
+        yield from _matrix_table(rows, product, num)
+    yield ""
+    yield from _table(
         [""] + list(report.universe),
         [["truth score"] + [num(v) for v in report.truth_scores],
          ["indeterminacy score"] + [num(v) for v in report.indeterminacy_scores],
          ["falsity score"] + [num(v) for v in report.falsity_scores],
          ["decision score"] + [num(v) for v in report.decision_scores]])
-    print(scores)
-    print(f"\nranking: {' > '.join(map(_escaped, report.ranking))}")
-    print(f"winner: {', '.join(map(_escaped, report.winners))}")
-    return 0
+    yield ""
+    yield f"ranking: {' > '.join(map(_escaped, report.ranking))}"
+    yield f"winner: {', '.join(map(_escaped, report.winners))}"
 
 
 def _cmd_similarity(args) -> int:
     report = similarity(load_any(args.first), load_any(args.second),
                         p=args.p, threshold=args.threshold)
-    if args.format == "json":
-        print(_json(dataclasses.asdict(report)))
-        return 0
-    rows = [[p, _num(v), _num(m)] for p, v, m in
-            zip(report.parameters, report.value_components,
-                report.possibility_components)]
-    print(_table(["parameter", "value sim", "possibility sim"], rows))
-    print(f"\nvalue similarity:       {_num(report.value_similarity)}")
-    print(f"possibility similarity: {_num(report.possibility_similarity)}")
-    print(f"overall similarity:     {_num(report.overall)}")
-    print(f"significant (>= {_num(report.threshold)}): "
-          f"{'yes' if report.significant else 'no'}")
+    _write(_json(dataclasses.asdict(report)) if args.format == "json"
+           else _lines(_similarity_lines(report)))
     return 0
+
+
+def _similarity_lines(report):
+    yield from _table(["parameter", "value sim", "possibility sim"],
+                      [[p, _num(v), _num(m)] for p, v, m in
+                       zip(report.parameters, report.value_components,
+                           report.possibility_components)])
+    yield ""
+    yield f"value similarity:       {_num(report.value_similarity)}"
+    yield f"possibility similarity: {_num(report.possibility_similarity)}"
+    yield f"overall similarity:     {_num(report.overall)}"
+    yield (f"significant (>= {_num(report.threshold)}): "
+           f"{'yes' if report.significant else 'no'}")
 
 
 def _gather_candidates(paths):
@@ -297,20 +331,22 @@ def _gather_candidates(paths):
 def _cmd_select(args) -> int:
     report = select_by_similarity(load_any(args.model), _gather_candidates(args.candidates),
                                   p=args.p, threshold=args.threshold)
-    if args.format == "json":
-        print(_json(dataclasses.asdict(report)))
-    else:
-        rows = []
-        for c in report.candidates:
-            if c.error is not None:
-                rows.append([c.label, "-", "-", c.error])
-            else:
-                rows.append([c.label, _num(c.overall),
-                             "yes" if c.significant else "no", ""])
-        print(_table(["candidate", "similarity", "significant", "note"], rows))
-        selected = ", ".join(map(_escaped, report.selected)) or "(none)"
-        print(f"\nselected: {selected}")
+    _write(_json(dataclasses.asdict(report)) if args.format == "json"
+           else _lines(_select_lines(report)))
     return 0 if report.selected else 1
+
+
+def _select_lines(report):
+    rows = []
+    for c in report.candidates:
+        if c.error is not None:
+            rows.append([c.label, "-", "-", c.error])
+        else:
+            rows.append([c.label, _num(c.overall),
+                         "yes" if c.significant else "no", ""])
+    yield from _table(["candidate", "similarity", "significant", "note"], rows)
+    yield ""
+    yield f"selected: {', '.join(map(_escaped, report.selected)) or '(none)'}"
 
 
 def build_parser() -> argparse.ArgumentParser:

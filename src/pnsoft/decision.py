@@ -46,29 +46,37 @@ def weighted_matrices(p: ProductPnsSet):
     indeterminacy and falsity just scale by m.
     Entries of one (degree, possibility) pair share one Fraction, built
     once from the integers; equal values of other pairs get their own.
+    The integers are read from Fraction's slots `_numerator` and
+    `_denominator`, as `algebra.tnorm_min` reads them; a degree without
+    them, such as an int, is read through its public properties.
     """
     blended, scaled = {}, {}   # (numerators, denominators) -> shared Fraction
-
-    def scale(x, mn, md):
-        key = (x.numerator, x.denominator, mn, md)
-        value = scaled.get(key)
-        if value is None:
-            value = scaled[key] = Fraction(key[0] * mn, key[1] * md)
-        return value
-
     wt, wi, wf = [], [], []
     for row in p.cells:
         rt, ri, rf = [], [], []
         for c in row:
-            t, m = c.truth, c.mu
-            tn, td, mn, md = t.numerator, t.denominator, m.numerator, m.denominator
+            t, i, f, m = c.truth, c.indeterminacy, c.falsity, c.mu
+            try:
+                tn, td, in_, id_ = t._numerator, t._denominator, i._numerator, i._denominator
+                fn, fd, mn, md = f._numerator, f._denominator, m._numerator, m._denominator
+            except AttributeError:
+                tn, td, in_, id_ = t.numerator, t.denominator, i.numerator, i.denominator
+                fn, fd, mn, md = f.numerator, f.denominator, m.numerator, m.denominator
             key = (tn, td, mn, md)
             value = blended.get(key)
             if value is None:
                 value = blended[key] = Fraction(tn * md + mn * td - tn * mn, td * md)
             rt.append(value)
-            ri.append(scale(c.indeterminacy, mn, md))
-            rf.append(scale(c.falsity, mn, md))
+            key = (in_, id_, mn, md)
+            value = scaled.get(key)
+            if value is None:
+                value = scaled[key] = Fraction(in_ * mn, id_ * md)
+            ri.append(value)
+            key = (fn, fd, mn, md)
+            value = scaled.get(key)
+            if value is None:
+                value = scaled[key] = Fraction(fn * mn, fd * md)
+            rf.append(value)
         wt.append(tuple(rt))
         wi.append(tuple(ri))
         wf.append(tuple(rf))

@@ -122,6 +122,7 @@ def _memoized(number):
 
 _CELL = '{"t": %s, "i": %s, "f": %s, "mu": %s}'
 _CONSTANTS = {True: "true", False: "false", None: "null"}
+_CONTAINERS = frozenset({list, tuple, dict, PnsSet})
 
 
 def _rows(s: PnsSet, number):
@@ -133,37 +134,72 @@ def _rows(s: PnsSet, number):
             for c in row])
 
 
-def _to_jsonable(obj, number) -> str:
-    """Recursively dump to JSON text; `number` renders Fractions and floats.
+def _chunks(obj, number):
+    """JSON text of `obj` in parts, each made when the caller asks for it.
 
-    Dispatch is on the exact type: a PnsSet renders its rows through
-    `_rows`, bool and None are constants, any other type raises TypeError.
-    Give it one `_memoized` formatter per output, so that each of the first
-    MEMO_CAP distinct Fractions is formatted once, however often it recurs.
+    A dict, a PnsSet and a list of containers yield their frames and
+    separators as parts of their own, a set one part per row through
+    `_rows`; a flat list (a row of numbers or labels) and a scalar are one
+    part each. So a writer that takes the parts as they come never holds
+    more than one matrix row of the text. `number` renders Fractions and
+    floats: give it one `_memoized` formatter per output, so that each of
+    the first MEMO_CAP distinct Fractions is formatted once, however often
+    it recurs.
+
+    Dispatch is on the exact type: bool and None are constants, any other
+    type raises TypeError. Whether a list is flat is read off its first
+    item; a container further on is rendered inside the list's part.
     """
-    # frames go through %: "[%s]" % text copies text once, "[" + text + "]"
-    # twice, and at the top level text is the whole output
-    def render(obj):
+    def text(obj):  # the whole text of obj, one part
         kind = type(obj)
         if kind is Fraction or kind is float:
             return number(obj)
-        if kind is list or kind is tuple:
-            return "[%s]" % ", ".join(map(render, obj))
-        if kind is dict:
-            return "{%s}" % ", ".join(f"{_quote(k)}: {render(v)}"
-                                      for k, v in obj.items())
         if kind is str:
             return _quote(obj)
-        if kind is PnsSet:
-            return '{"parameters": %s, "universe": %s, "cells": [%s]}' % (
-                render(obj.parameters), render(obj.universe),
-                ", ".join(_rows(obj, number)))
+        if kind in _CONTAINERS:
+            return "".join(chunks(obj))
         if kind is int:
             return str(obj)
         if kind is bool or obj is None:
             return _CONSTANTS[obj]
         raise TypeError(f"cannot render {kind.__name__} as JSON")
-    return render(obj)
+
+    def chunks(obj):
+        kind = type(obj)
+        if kind is list or kind is tuple:
+            if not obj or type(obj[0]) not in _CONTAINERS:
+                # frames go through %: "[%s]" % text copies text once,
+                # "[" + text + "]" twice
+                yield "[%s]" % ", ".join(map(text, obj))
+                return
+            yield "["
+            for n, item in enumerate(obj):
+                if n:
+                    yield ", "
+                yield from chunks(item)
+            yield "]"
+        elif kind is dict:
+            yield "{"
+            for n, (key, value) in enumerate(obj.items()):
+                yield f"{', ' if n else ''}{_quote(key)}: "
+                yield from chunks(value)
+            yield "}"
+        elif kind is PnsSet:
+            yield '{"parameters": %s, "universe": %s, "cells": [' % (
+                text(obj.parameters), text(obj.universe))
+            for n, row in enumerate(_rows(obj, number)):
+                if n:
+                    yield ", "
+                yield row
+            yield "]}"
+        else:
+            yield text(obj)
+    return chunks(obj)
+
+
+def _to_jsonable(obj, number) -> str:
+    """The JSON text of `obj` whole: its `_chunks` joined."""
+    return "".join(_chunks(obj, number))
 
 
 def dumps_pns(s: PnsSet) -> str:

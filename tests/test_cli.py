@@ -1,6 +1,9 @@
+import hashlib
 import importlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -10,11 +13,11 @@ import pytest
 
 import pnsoft
 import pnsoft.cli
-from pnsoft import equals, load_pns, loads_pns, make_profile, union
+from pnsoft import PnsSet, equals, load_pns, loads_pns, make_profile, save_pns, union
 from pnsoft.cli import main
 from pnsoft.similarity import MAX_ORDER
 
-from conftest import fixture
+from conftest import fixture, random_pair
 
 CARS_A = str(fixture("cars_assessment_a.json"))
 CARS_B = str(fixture("cars_assessment_b.json"))
@@ -36,6 +39,18 @@ def child(*args, stdout=subprocess.PIPE, **env):
     return subprocess.run(
         [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=src, **env), text=True, timeout=60)
+
+
+def save_pair(directory, n_params, n_elems, seed, last_parameter=None):
+    """Paths of two seeded random sets of one shape, saved under `directory`;
+    `last_parameter` relabels the first set's last parameter."""
+    first, second = random_pair(random.Random(seed), n_params, n_elems)
+    if last_parameter is not None:
+        first = PnsSet((*first.parameters[:-1], last_parameter), first.universe, first.cells)
+    paths = [str(directory / name) for name in ("a.json", "b.json")]
+    save_pns(first, paths[0])
+    save_pns(second, paths[1])
+    return paths
 
 
 class TestValidate:
@@ -306,6 +321,47 @@ class TestSelect:
         assert events == ["load"] + ["load", "score"] * 3   # the model, then each candidate
 
 
+class WriteRecorder:
+    """A stdout that keeps each text it is asked to write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreamedOutput:
+    """Output is written as it is made, never held whole."""
+
+    #: sha256 of `decide` on save_pair(..., 10, 50, seed=19), as rendered
+    #: whole before output was streamed
+    DECIDE_SHA256 = {
+        "table": "d3a574c87d473fd65e4ef21472badf62b8fda8c9a170fb53078dedeab22dcbae",
+        "json": "efb7f77a3fd991454132afec2de0794b04d3abab6a7dcc7cdea6ab6c89c12c4b",
+    }
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_decide_writes_at_most_a_line_or_a_row_at_a_time(self, tmp_path, monkeypatch,
+                                                              fmt):
+        first, second = save_pair(tmp_path, 10, 50, seed=19)
+        out = WriteRecorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["decide", first, second, "--format", fmt]) == 0
+        text = "".join(out.writes)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DECIDE_SHA256[fmt]
+        largest = max(map(len, out.writes))
+        assert largest <= max(map(len, text.splitlines())) + 1
+        if fmt == "json":  # all one line: no write holds more than one row
+            innermost = re.findall(r"\[[^\[\]]*\]", text)  # rows and label lists
+            assert largest <= max(map(len, innermost))
+        assert len(out.writes) > 4 * 100  # four sections of 100 pair rows
+
+
 class TestWriteFailures:
     """Output that cannot be written ends the run with status 1, no traceback."""
 
@@ -329,6 +385,48 @@ class TestWriteFailures:
         assert done.returncode == 1
         assert done.stderr == ("error: cannot write output: "
                                "[Errno 28] No space left on device\n")
+
+    @pytest.fixture(scope="class")
+    def large_pair(self, tmp_path_factory):
+        """20x200 sets, the first one's last parameter labelled "\u00e920"."""
+        return save_pair(tmp_path_factory.mktemp("large"), 20, 200, seed=5,
+                         last_parameter="\u00e920")
+
+    def large_decide(self, pair, fmt, stdout=subprocess.PIPE, **env):
+        return child("-m", "pnsoft.cli", "decide", *pair, "--format", fmt,
+                     stdout=stdout, **env)
+
+    def test_a_pipe_closed_partway_through_a_large_output_exits_quietly(self, large_pair):
+        src = str(Path(pnsoft.__file__).resolve().parents[1])
+        with subprocess.Popen(
+                [sys.executable, "-m", "pnsoft.cli", "decide", *large_pair,
+                 "--format", "json"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=src)) as proc:
+            head = proc.stdout.read(64 * 1024)  # like `| head -c 65536`
+            proc.stdout.close()
+            err = proc.stderr.read()
+            status = proc.wait(timeout=60)
+        assert (status, err) == (1, b"")
+        whole = self.large_decide(large_pair, "json").stdout
+        assert len(head) == 64 * 1024 and whole.encode().startswith(head)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_device_that_fills_partway_through_a_large_output(self, large_pair):
+        with open("/dev/full", "w") as full:
+            done = self.large_decide(large_pair, "json", stdout=full)
+        assert done.returncode == 1
+        assert done.stderr == ("error: cannot write output: "
+                               "[Errno 28] No space left on device\n")
+
+    def test_a_label_stdout_cannot_encode_late_in_a_large_table(self, large_pair):
+        done = self.large_decide(large_pair, "table", PYTHONIOENCODING="ascii")
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: cannot write output: 'ascii' codec can't encode character "
+            "'\\xe9' in position 0: ordinal not in range(128)\n")
+        whole = self.large_decide(large_pair, "table").stdout
+        assert whole.startswith(done.stdout) and len(done.stdout) < len(whole)
 
     def test_a_label_stdout_cannot_encode_ends_in_one_error_line(self, tmp_path):
         path = tmp_path / "accented.json"
