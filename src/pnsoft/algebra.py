@@ -60,11 +60,8 @@ def as_unit(value, what: str = "value") -> Fraction:
     which is what every parsed degree is, is returned after one comparison
     of its int slots (see tnorm_min).
     """
-    try:
-        if type(value) is Fraction and 0 <= value._numerator <= value._denominator:
-            return value
-    except AttributeError:
-        pass
+    if type(value) is Fraction and 0 <= value._numerator <= value._denominator:
+        return value
     if isinstance(value, bool):
         raise ValueError(f"{what} must be a number, got a boolean")
     if isinstance(value, Fraction):

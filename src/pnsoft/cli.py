@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .algebra import TCONORMS, TNORMS, as_unit, make_profile
@@ -31,38 +32,8 @@ def _six_decimals(x) -> str:
     return "%.6f" % float(x)
 
 
-def _json(doc):
-    """JSON text of `doc` in parts, every number fixed at six decimal places."""
-    return _chunks(doc, _memoized(_six_decimals))
-
-
-def _lines(lines):
-    """The parts of text made of `lines`: each line, a newline between two."""
-    for n, line in enumerate(lines):
-        if n:
-            yield "\n"
-        yield line
-
-
-def _write(parts) -> None:
-    """Write an output to stdout part by part as the parts are made, then
-    its one closing newline.
-
-    No output is held whole: a part is at most one table line or one
-    matrix row. So a write that fails partway leaves a prefix of the
-    output on stdout.
-    """
-    write = sys.stdout.write
-    for part in parts:
-        write(part)
-    write("\n")
-
-
 def _num(x) -> str:
-    """Table text of a number: exact when short, else four decimals.
-
-    A table of many numbers renders through `_memoized(_num)`.
-    """
+    """Table text of a number: exact when short, else four decimals."""
     if isinstance(x, Fraction):
         text = decimal_string(x)
         return text if len(text) <= 8 else "%.4f" % float(x)
@@ -90,6 +61,28 @@ def _by_identity(number):
     return cached
 
 
+def _emit(args, doc, table, memo=_memoized) -> None:
+    """Write a command's output to stdout as it is made, then its one
+    closing newline: `doc` as JSON under --format json, else the lines of
+    `table(num)`.
+
+    The output's one number formatter is `memo(_six_decimals)` for JSON
+    and `memo(_num)` for a table. No output is held whole: a write is at
+    most one table line or one matrix row, so a write that fails partway
+    leaves a prefix of the output on stdout.
+    """
+    write = sys.stdout.write
+    if args.format == "json":
+        for part in _chunks(doc, memo(_six_decimals)):
+            write(part)
+    else:
+        for n, line in enumerate(table(memo(_num))):
+            if n:
+                write("\n")
+            write(line)
+    write("\n")
+
+
 def _table(headers, rows):
     """The lines of aligned columns; the headers and each row's first cell
     are labels.
@@ -108,28 +101,20 @@ def _table(headers, rows):
         yield "  ".join([cell.ljust(w) for cell, w in zip(cells, widths)]).rstrip()
 
 
+def _grid(labels, universe, rows, texts):
+    """The table lines of `rows` under a `universe` header, each row after
+    its label; `texts(row)` gives the texts of one row's cells."""
+    return _table(["", *universe],
+                  [[label, *texts(row)] for label, row in zip(labels, rows)])
+
+
 _CELL_TEXT = "(%s,%s,%s)|%s"
 
 
 def _set_table(s, num):
-    return _table([""] + list(s.universe), [
-        [p] + [_CELL_TEXT % (num(c.truth), num(c.indeterminacy),
-                             num(c.falsity), num(c.mu)) for c in row]
-        for p, row in zip(s.parameters, s.cells)])
-
-
-def _matrix_table(rows, product, num):
-    """Weighted matrix rows as table lines labelled like the flat `product`."""
-    return _table([""] + list(product.universe),
-                  [[label] + [num(v) for v in row]
-                   for label, row in zip(product.parameters, rows)])
-
-
-def _emit_set(s, args) -> None:
-    if args.format == "json":
-        _write(_json(s))
-    else:
-        _write(_lines(_set_table(s, _memoized(_num))))
+    return _grid(s.parameters, s.universe, s.cells, lambda row: [
+        _CELL_TEXT % (num(c.truth), num(c.indeterminacy), num(c.falsity), num(c.mu))
+        for c in row])
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +189,7 @@ def _cmd_validate(args) -> int:
             violations = exc.violations
         files.append({"path": str(path), "valid": not violations,
                       "violations": violations})
-    _write(_json({"files": files}) if args.format == "json"
-           else _lines(_validate_lines(files)))
+    _emit(args, {"files": files}, lambda num: _validate_lines(files))
     return 0 if all(entry["valid"] for entry in files) else 1
 
 
@@ -223,19 +207,22 @@ def _validate_lines(files):
 def _cmd_combine(args) -> int:
     """union or intersect, whichever the subcommand bound to args.combine."""
     profile = make_profile(tnorm=args.tnorm, tconorm=args.tconorm)
-    _emit_set(args.combine(load_any(args.first), load_any(args.second), profile), args)
+    s = args.combine(load_any(args.first), load_any(args.second), profile)
+    _emit(args, s, partial(_set_table, s))
     return 0
 
 
 def _cmd_complement(args) -> int:
-    _emit_set(complement(load_any(args.set)), args)
+    s = complement(load_any(args.set))
+    _emit(args, s, partial(_set_table, s))
     return 0
 
 
 def _cmd_product(args) -> int:
     """and-product or or-product, whichever the subcommand bound to args.product."""
     product = args.product(load_any(args.first), load_any(args.second))
-    _emit_set(to_pns_set(product, args.separator), args)
+    s = to_pns_set(product, args.separator)
+    _emit(args, s, partial(_set_table, s))
     return 0
 
 
@@ -247,39 +234,37 @@ def _cmd_decide(args) -> int:
     matrices = (("truth", report.weighted_truth),
                 ("indeterminacy", report.weighted_indeterminacy),
                 ("falsity", report.weighted_falsity))
-    if args.format == "json":
-        doc = {"universe": report.universe, "product": product}
-        for name, rows in matrices:
-            doc[f"weighted_{name}"] = {"rows": product.parameters,
-                                       "columns": product.universe,
-                                       "entries": rows}
-        doc.update(truth_scores=report.truth_scores,
-                   indeterminacy_scores=report.indeterminacy_scores,
-                   falsity_scores=report.falsity_scores,
-                   decision_scores=report.decision_scores,
-                   ranking=report.ranking,
-                   winners=report.winners)
-        _write(_chunks(doc, _by_identity(_memoized(_six_decimals))))
-    else:
-        _write(_lines(_decide_lines(report, product, matrices)))
+    doc = {"universe": report.universe, "product": product}
+    for name, rows in matrices:
+        doc[f"weighted_{name}"] = {"rows": product.parameters,
+                                   "columns": product.universe,
+                                   "entries": rows}
+    doc.update(truth_scores=report.truth_scores,
+               indeterminacy_scores=report.indeterminacy_scores,
+               falsity_scores=report.falsity_scores,
+               decision_scores=report.decision_scores,
+               ranking=report.ranking,
+               winners=report.winners)
+    _emit(args, doc, partial(_decide_lines, report, product, matrices),
+          memo=lambda number: _by_identity(_memoized(number)))
     return 0
 
 
-def _decide_lines(report, product, matrices):
-    num = _by_identity(_memoized(_num))
+def _decide_lines(report, product, matrices, num):
+    texts = partial(map, num)
     yield "product:"
     yield from _set_table(product, num)
     for name, rows in matrices:
         yield ""
         yield f"weighted {name}:"
-        yield from _matrix_table(rows, product, num)
+        yield from _grid(product.parameters, product.universe, rows, texts)
     yield ""
-    yield from _table(
-        [""] + list(report.universe),
-        [["truth score"] + [num(v) for v in report.truth_scores],
-         ["indeterminacy score"] + [num(v) for v in report.indeterminacy_scores],
-         ["falsity score"] + [num(v) for v in report.falsity_scores],
-         ["decision score"] + [num(v) for v in report.decision_scores]])
+    yield from _grid(
+        ["truth score", "indeterminacy score", "falsity score", "decision score"],
+        report.universe,
+        [report.truth_scores, report.indeterminacy_scores, report.falsity_scores,
+         report.decision_scores],
+        texts)
     yield ""
     yield f"ranking: {' > '.join(map(_escaped, report.ranking))}"
     yield f"winner: {', '.join(map(_escaped, report.winners))}"
@@ -288,21 +273,20 @@ def _decide_lines(report, product, matrices):
 def _cmd_similarity(args) -> int:
     report = similarity(load_any(args.first), load_any(args.second),
                         p=args.p, threshold=args.threshold)
-    _write(_json(dataclasses.asdict(report)) if args.format == "json"
-           else _lines(_similarity_lines(report)))
+    _emit(args, dataclasses.asdict(report), partial(_similarity_lines, report))
     return 0
 
 
-def _similarity_lines(report):
+def _similarity_lines(report, num):
     yield from _table(["parameter", "value sim", "possibility sim"],
-                      [[p, _num(v), _num(m)] for p, v, m in
+                      [[p, num(v), num(m)] for p, v, m in
                        zip(report.parameters, report.value_components,
                            report.possibility_components)])
     yield ""
-    yield f"value similarity:       {_num(report.value_similarity)}"
-    yield f"possibility similarity: {_num(report.possibility_similarity)}"
-    yield f"overall similarity:     {_num(report.overall)}"
-    yield (f"significant (>= {_num(report.threshold)}): "
+    yield f"value similarity:       {num(report.value_similarity)}"
+    yield f"possibility similarity: {num(report.possibility_similarity)}"
+    yield f"overall similarity:     {num(report.overall)}"
+    yield (f"significant (>= {num(report.threshold)}): "
            f"{'yes' if report.significant else 'no'}")
 
 
@@ -331,18 +315,17 @@ def _gather_candidates(paths):
 def _cmd_select(args) -> int:
     report = select_by_similarity(load_any(args.model), _gather_candidates(args.candidates),
                                   p=args.p, threshold=args.threshold)
-    _write(_json(dataclasses.asdict(report)) if args.format == "json"
-           else _lines(_select_lines(report)))
+    _emit(args, dataclasses.asdict(report), partial(_select_lines, report))
     return 0 if report.selected else 1
 
 
-def _select_lines(report):
+def _select_lines(report, num):
     rows = []
     for c in report.candidates:
         if c.error is not None:
             rows.append([c.label, "-", "-", c.error])
         else:
-            rows.append([c.label, _num(c.overall),
+            rows.append([c.label, num(c.overall),
                          "yes" if c.significant else "no", ""])
     yield from _table(["candidate", "similarity", "significant", "note"], rows)
     yield ""

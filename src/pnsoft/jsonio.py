@@ -197,11 +197,6 @@ def _chunks(obj, number):
     return chunks(obj)
 
 
-def _to_jsonable(obj, number) -> str:
-    """The JSON text of `obj` whole: its `_chunks` joined."""
-    return "".join(_chunks(obj, number))
-
-
 def dumps_pns(s: PnsSet) -> str:
     """Serialize a set with every number as an exact decimal where one exists.
 
@@ -211,8 +206,8 @@ def dumps_pns(s: PnsSet) -> str:
     last = len(s.cells) - 1
     return "\n".join([
         "{",
-        '  "parameters": ' + _to_jsonable(s.parameters, number) + ",",
-        '  "universe": ' + _to_jsonable(s.universe, number) + ",",
+        '  "parameters": ' + "".join(_chunks(s.parameters, number)) + ",",
+        '  "universe": ' + "".join(_chunks(s.universe, number)) + ",",
         '  "cells": [',
         *("    " + row + ("," if r < last else "")
           for r, row in enumerate(_rows(s, number))),

@@ -268,6 +268,8 @@ LAYOUTS = {
     "row-number": (one_row("[3]"), "row 'e1' is not a list"),
     "row-object": (one_row('[{"t": 0.5}]'), "row 'e1' is not a list"),
     "cell-string": (one_row('[["0.5"]]'), f"cell (e1, u1): {CELL_SHAPE}"),
+    "cell-number": (one_row("[[3]]"), f"cell (e1, u1): {CELL_SHAPE}"),
+    "cell-null": (one_row("[[null]]"), f"cell (e1, u1): {CELL_SHAPE}"),
     "cell-three": (one_row("[[[0.5, 0.2, 0.6]]]"), f"cell (e1, u1): {CELL_SHAPE}"),
     "cell-pair": (one_row("[[[[0.5, 0.2, 0.6], 0.8]]]"), f"cell (e1, u1): {CELL_SHAPE}"),
 }

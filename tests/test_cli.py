@@ -338,28 +338,59 @@ class WriteRecorder:
 class TestStreamedOutput:
     """Output is written as it is made, never held whole."""
 
-    #: sha256 of `decide` on save_pair(..., 10, 50, seed=19), as rendered
-    #: whole before output was streamed
-    DECIDE_SHA256 = {
-        "table": "d3a574c87d473fd65e4ef21472badf62b8fda8c9a170fb53078dedeab22dcbae",
-        "json": "efb7f77a3fd991454132afec2de0794b04d3abab6a7dcc7cdea6ab6c89c12c4b",
+    #: per command: its options, the shape of the save_pair(..., seed=19)
+    #: sets it reads, the fewest writes its output may take (its sections' rows),
+    #: and the sha256 of its output per format. The decide hashes are the
+    #: output as rendered whole before output was streamed; the set ones
+    #: as written before the set commands shared the one emitter.
+    CASES = {
+        "decide": ([], (10, 50), 4 * 100, {
+            "table": "d3a574c87d473fd65e4ef21472badf62b8fda8c9a170fb53078dedeab22dcbae",
+            "json": "efb7f77a3fd991454132afec2de0794b04d3abab6a7dcc7cdea6ab6c89c12c4b",
+        }),
+        "union": (["--tnorm", "product", "--tconorm", "probsum"], (20, 200), 20, {
+            "table": "c71130c0f73d47c9bc1dd4b476eeff151ef1b7c5ce3ea40d83951dfc705b73aa",
+            "json": "bb675320f1444563360e1c2f307808d40cd70e03ab0d5a57e5a6d87235bd2df0",
+        }),
+        "complement": ([], (20, 200), 20, {
+            "table": "e23525ebb8b5ac6b5de34a488c0bf57ec72e269bad776171a5ba8fd85e34b3ac",
+            "json": "d1d759a35438eeee10aaf83fe01c959e838b7e271e0c3fbb7f85c9384f5ebf57",
+        }),
+        "and-product": ([], (20, 200), 20 * 20, {
+            "table": "5cbb88cc3962344190ddabda6e5a0fbdc1a4885d135e8659cfc4aafc3b07533a",
+            "json": "48f271c7345f1843690e5d16c8bcf8005dfd14ac0aa20df7ab4596cb80d989bf",
+        }),
     }
 
-    @pytest.mark.parametrize("fmt", ["table", "json"])
-    def test_decide_writes_at_most_a_line_or_a_row_at_a_time(self, tmp_path, monkeypatch,
-                                                              fmt):
-        first, second = save_pair(tmp_path, 10, 50, seed=19)
+    def check(self, tmp_path, monkeypatch, command, fmt):
+        """Run `command`: its bytes are pinned, and no write is larger than
+        one table line or one matrix row."""
+        options, shape, fewest, sha256 = self.CASES[command]
+        files = save_pair(tmp_path, *shape, seed=19)
+        if command == "complement":
+            files = files[:1]
         out = WriteRecorder()
         monkeypatch.setattr(sys, "stdout", out)
-        assert main(["decide", first, second, "--format", fmt]) == 0
+        assert main([command, *files, *options, "--format", fmt]) == 0
         text = "".join(out.writes)
-        assert hashlib.sha256(text.encode()).hexdigest() == self.DECIDE_SHA256[fmt]
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256[fmt]
         largest = max(map(len, out.writes))
         assert largest <= max(map(len, text.splitlines())) + 1
         if fmt == "json":  # all one line: no write holds more than one row
             innermost = re.findall(r"\[[^\[\]]*\]", text)  # rows and label lists
             assert largest <= max(map(len, innermost))
-        assert len(out.writes) > 4 * 100  # four sections of 100 pair rows
+        assert len(out.writes) > fewest
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_decide_writes_at_most_a_line_or_a_row_at_a_time(self, tmp_path, monkeypatch,
+                                                              fmt):
+        self.check(tmp_path, monkeypatch, "decide", fmt)
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("command", ["union", "complement", "and-product"])
+    def test_a_set_writes_at_most_a_line_or_a_row_at_a_time(self, tmp_path, monkeypatch,
+                                                             command, fmt):
+        self.check(tmp_path, monkeypatch, command, fmt)
 
 
 class TestWriteFailures:

@@ -19,8 +19,8 @@ import pnsoft.cli
 import pnsoft.jsonio
 from pnsoft import PnsSet, decimal_string, loads_csv, loads_pns
 from pnsoft.algebra import parse_decimal
-from pnsoft.cli import _json, _num, _six_decimals, main
-from pnsoft.jsonio import MEMO_CAP, _memoized, _to_jsonable
+from pnsoft.cli import _num, _six_decimals, main
+from pnsoft.jsonio import MEMO_CAP, _chunks, _memoized
 
 from conftest import mixed_pairs
 
@@ -104,6 +104,11 @@ def longhand_to_jsonable(obj, number):
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
+def cli_json(doc):
+    """The JSON text the CLI writes for `doc`, its parts joined."""
+    return "".join(_chunks(doc, _memoized(_six_decimals)))
+
+
 def longhand_json(doc):
     return longhand_to_jsonable(doc, lambda x: "%.6f" % float(x))
 
@@ -175,9 +180,9 @@ def test_renderer_matches_the_longhand_one(seed):
     def tagged(x):
         return f'"{type(x).__name__}:{x!r}"'
 
-    assert _to_jsonable(doc, tagged) == longhand_to_jsonable(doc, tagged)
-    assert "".join(_json(doc)) == longhand_json(doc)
-    assert (_to_jsonable(doc, decimal_string)
+    assert "".join(_chunks(doc, tagged)) == longhand_to_jsonable(doc, tagged)
+    assert cli_json(doc) == longhand_json(doc)
+    assert ("".join(_chunks(doc, decimal_string))
             == longhand_to_jsonable(doc, decimal_string))
 
 
@@ -210,7 +215,7 @@ def test_the_identity_memo_renders_reused_ids_right():
 
 def test_unrenderable_objects_still_raise():
     with pytest.raises(TypeError, match="cannot render set"):
-        "".join(_json({"x": [Fraction(1), {1, 2}]}))
+        cli_json({"x": [Fraction(1), {1, 2}]})
 
 
 class Half(Fraction):
@@ -230,7 +235,7 @@ class Row(list):
 ], ids=["fraction", "str", "list", "dict", "int-key"])
 def test_subclasses_are_not_rendered(obj):
     with pytest.raises(TypeError):
-        "".join(_json([obj]))
+        cli_json([obj])
 
 
 @st.composite
@@ -246,8 +251,8 @@ def two_decimal_sets(draw):
 @given(st.one_of(mixed_pairs().map(lambda pair: pair[0]), two_decimal_sets()))
 def test_sets_render_as_their_documents_did(s):
     doc = longhand_to_document(s)
-    assert "".join(_json(s)) == longhand_json(doc)
-    assert ("".join(_json({"product": s, "n": 1}))
+    assert cli_json(s) == longhand_json(doc)
+    assert (cli_json({"product": s, "n": 1})
             == longhand_json({"product": doc, "n": 1}))
     assert pnsoft.jsonio.dumps_pns(s) == longhand_dumps(doc)
 

@@ -23,8 +23,8 @@ from pnsoft import (
     similarity,
     value_similarity,
 )
-from pnsoft.cli import _json, _num, _set_table
-from pnsoft.jsonio import dumps_pns
+from pnsoft.cli import _num, _set_table, _six_decimals
+from pnsoft.jsonio import _chunks, dumps_pns
 from pnsoft.sets import _trusted_cell
 from pnsoft.similarity import MAX_ORDER
 
@@ -471,11 +471,11 @@ class TestRowsKeptOnASet:
     def test_a_compared_set_looks_as_before(self, cars):
         f, g = (PnsSet(s.parameters, s.universe, s.cells) for s in cars)
         before = (repr(f), hash(f), dataclasses.asdict(f), pickle.dumps(f),
-                  dumps_pns(f), "".join(_json(f)), "\n".join(_set_table(f, _num)))
+                  dumps_pns(f), "".join(_chunks(f, _six_decimals)), "\n".join(_set_table(f, _num)))
         similarity(f, g)
         assert f == cars[0]
         assert (repr(f), hash(f), dataclasses.asdict(f), pickle.dumps(f),
-                dumps_pns(f), "".join(_json(f)), "\n".join(_set_table(f, _num))) == before
+                dumps_pns(f), "".join(_chunks(f, _six_decimals)), "\n".join(_set_table(f, _num))) == before
         for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
             assert twin == f
             assert similarity(twin, g) == similarity(f, g)
