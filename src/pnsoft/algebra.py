@@ -122,15 +122,20 @@ def triple_leq(a: NeutrosophicTriple, b: NeutrosophicTriple) -> bool:
 # ---------------------------------------------------------------------------
 # named norm families
 
-# tnorm_min and tconorm_max compare the int slots _numerator and
-# _denominator of Fraction, the type of every degree of a checked cell
-# (slots checked on CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0): the public
-# properties cost a call each, and the builtin min and max, through
-# Fraction.__lt__, are three times slower. On a tie tnorm_min keeps `a` and
-# tconorm_max keeps `b`. Operands without the slots, such as ints, take the
-# builtin min(a, b) or max(b, a), which keep the same operand. The
-# Lukasiewicz clamps read a numerator against its positive denominator and
-# return a shared bound: they build and compare no Fraction of their own.
+# Every named family reads the int slots _numerator and _denominator of
+# Fraction, the type of every degree of a checked cell (slots checked on
+# CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0): the public properties cost a
+# call each. tnorm_min and tconorm_max compare by cross multiplication, since
+# the builtin min and max, through Fraction.__lt__, are three times slower;
+# on a tie tnorm_min keeps `a` and tconorm_max keeps `b`. The arithmetic
+# families compute their result's numerator over the product of the
+# denominators in ints and build it with one Fraction(n, d), one gcd, where
+# the Fraction operators take a gcd or two per operation. The Lukasiewicz
+# clamps compare that numerator against its positive denominator and, past
+# a bound, return a shared one: they build and compare no Fraction of their
+# own. Operands without the slots, such as ints and floats, take the plain
+# expression: the builtin min(a, b) or max(b, a), which keep the same
+# operand, or the Fraction operators.
 _ZERO_DEGREE, _ONE_DEGREE = Fraction(0), Fraction(1)
 
 
@@ -143,12 +148,20 @@ def tnorm_min(a, b):
 
 
 def tnorm_product(a, b):
-    return a * b
+    try:
+        return Fraction(a._numerator * b._numerator, a._denominator * b._denominator)
+    except AttributeError:
+        return a * b
 
 
 def tnorm_lukasiewicz(a, b):
-    s = a + b - 1
-    return s if s.numerator >= 0 else _ZERO_DEGREE
+    try:
+        d = a._denominator * b._denominator
+        n = a._numerator * b._denominator + b._numerator * a._denominator - d
+    except AttributeError:
+        s = a + b - 1
+        return s if s.numerator >= 0 else _ZERO_DEGREE
+    return Fraction(n, d) if n >= 0 else _ZERO_DEGREE
 
 
 def tconorm_max(a, b):
@@ -159,16 +172,28 @@ def tconorm_max(a, b):
 
 
 def tconorm_probsum(a, b):
-    return a + b - a * b
+    try:
+        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+    except AttributeError:
+        return a + b - a * b
+    return Fraction(na * db + nb * da - na * nb, da * db)
 
 
 def tconorm_lukasiewicz(a, b):
-    s = a + b
-    return s if s.numerator <= s.denominator else _ONE_DEGREE
+    try:
+        d = a._denominator * b._denominator
+        n = a._numerator * b._denominator + b._numerator * a._denominator
+    except AttributeError:
+        s = a + b
+        return s if s.numerator <= s.denominator else _ONE_DEGREE
+    return Fraction(n, d) if n <= d else _ONE_DEGREE
 
 
 def negation_standard(a):
-    return 1 - a
+    try:
+        return Fraction(a._denominator - a._numerator, a._denominator)
+    except AttributeError:
+        return 1 - a
 
 
 TNORMS: dict[str, Callable] = {

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
 import re
 import sys
@@ -29,6 +30,18 @@ from .similarity import MAX_ORDER, select_by_similarity, similarity
 # rendering
 
 def _six_decimals(x) -> str:
+    """`"%.6f" % float(x)`, from ints for a Fraction in [0, 1] whose
+    denominator divides 10**6.
+
+    Such a value is k/10**6, and its double lies within 2**-53 of it, far
+    from a rounding boundary of the sixth decimal, so both texts agree.
+    """
+    try:
+        n, d = x._numerator, x._denominator
+    except AttributeError:
+        return "%.6f" % float(x)
+    if 0 <= n <= d and not 1_000_000 % d:
+        return "%d.%06d" % divmod(n * (1_000_000 // d), 1_000_000)
     return "%.6f" % float(x)
 
 
@@ -394,6 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command makes many objects and few reference cycles, so the cyclic
+    # collector would run about a hundred times for next to nothing. It is
+    # paused for the command and resumed only if it ran before.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         status = args.func(args)
         sys.stdout.flush()  # a write failure surfaces here, not at exit
@@ -407,6 +425,9 @@ def main(argv=None) -> int:
         if not isinstance(exc, BrokenPipeError):  # a closed reader wants no more
             print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
     return status
 
 

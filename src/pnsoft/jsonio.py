@@ -17,6 +17,7 @@ import json
 import math
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from pathlib import Path
 
@@ -90,12 +91,44 @@ def from_document(doc) -> PnsSet:
 
 
 #: Entries a conversion memo holds, so that data of all-distinct values
-#: costs bounded memory: a load's literal -> Fraction table is an LRU cache
-#: of this size, a render memo stops inserting at it. Two-decimal data has
-#: at most 101 distinct degrees; a 20x200 decide renders 5,508 distinct
-#: values held in 18,636 objects, and the CLI puts a memo by object
-#: identity in front of this one for that output.
+#: costs bounded memory: a load's literal -> Fraction memo and a render
+#: memo stop inserting at this size. Two-decimal data has at most 101
+#: distinct degrees; a 20x200 decide renders 5,508 distinct values held in
+#: 18,636 objects, and the CLI puts a memo by object identity in front of
+#: this one for that output.
 MEMO_CAP = 4096
+
+#: Distinct literals a load's memo sees before it decides whether it pays:
+#: it steps aside if they came with fewer hits than this.
+_LITERAL_PROBE = 512
+
+
+def _literal_parser():
+    """`parse_decimal` with each literal's Fraction memoized. One per load.
+
+    Equal literals share one Fraction, parsed once, up to MEMO_CAP of them.
+    Once the first _LITERAL_PROBE distinct literals have come with fewer
+    than _LITERAL_PROBE hits, as on six-decimal data where almost every
+    literal is new, the memo steps aside and each later literal goes
+    straight to `parse_decimal`. Errors are raised, not memoized.
+    """
+    memo, hits = {}, 0
+
+    def parse(text):
+        nonlocal memo, hits
+        if memo is None:
+            return parse_decimal(text)
+        value = memo.get(text)
+        if value is not None:
+            hits += 1
+            return value
+        value = parse_decimal(text)
+        if len(memo) < MEMO_CAP:
+            memo[text] = value
+            if len(memo) == _LITERAL_PROBE and hits < _LITERAL_PROBE:
+                memo = None
+        return value
+    return parse
 
 
 def _memoized(number):
@@ -134,6 +167,22 @@ def _rows(s: PnsSet, number):
             for c in row])
 
 
+def _text(obj, number):
+    """The whole JSON text of `obj`, one part (see `_chunks`)."""
+    kind = type(obj)
+    if kind is Fraction or kind is float:
+        return number(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind in _CONTAINERS:
+        return "".join(_chunks(obj, number))
+    if kind is int:
+        return str(obj)
+    if kind is bool or obj is None:
+        return _CONSTANTS[obj]
+    raise TypeError(f"cannot render {kind.__name__} as JSON")
+
+
 def _chunks(obj, number):
     """JSON text of `obj` in parts, each made when the caller asks for it.
 
@@ -149,52 +198,38 @@ def _chunks(obj, number):
     Dispatch is on the exact type: bool and None are constants, any other
     type raises TypeError. Whether a list is flat is read off its first
     item; a container further on is rendered inside the list's part.
+    `_text` and `_chunks` are module functions that pass `number` along,
+    so a render leaves no reference cycle for the collector to free.
     """
-    def text(obj):  # the whole text of obj, one part
-        kind = type(obj)
-        if kind is Fraction or kind is float:
-            return number(obj)
-        if kind is str:
-            return _quote(obj)
-        if kind in _CONTAINERS:
-            return "".join(chunks(obj))
-        if kind is int:
-            return str(obj)
-        if kind is bool or obj is None:
-            return _CONSTANTS[obj]
-        raise TypeError(f"cannot render {kind.__name__} as JSON")
-
-    def chunks(obj):
-        kind = type(obj)
-        if kind is list or kind is tuple:
-            if not obj or type(obj[0]) not in _CONTAINERS:
-                # frames go through %: "[%s]" % text copies text once,
-                # "[" + text + "]" twice
-                yield "[%s]" % ", ".join(map(text, obj))
-                return
-            yield "["
-            for n, item in enumerate(obj):
-                if n:
-                    yield ", "
-                yield from chunks(item)
-            yield "]"
-        elif kind is dict:
-            yield "{"
-            for n, (key, value) in enumerate(obj.items()):
-                yield f"{', ' if n else ''}{_quote(key)}: "
-                yield from chunks(value)
-            yield "}"
-        elif kind is PnsSet:
-            yield '{"parameters": %s, "universe": %s, "cells": [' % (
-                text(obj.parameters), text(obj.universe))
-            for n, row in enumerate(_rows(obj, number)):
-                if n:
-                    yield ", "
-                yield row
-            yield "]}"
-        else:
-            yield text(obj)
-    return chunks(obj)
+    kind = type(obj)
+    if kind is list or kind is tuple:
+        if not obj or type(obj[0]) not in _CONTAINERS:
+            # frames go through %: "[%s]" % text copies text once,
+            # "[" + text + "]" twice
+            yield "[%s]" % ", ".join(map(_text, obj, repeat(number)))
+            return
+        yield "["
+        for n, item in enumerate(obj):
+            if n:
+                yield ", "
+            yield from _chunks(item, number)
+        yield "]"
+    elif kind is dict:
+        yield "{"
+        for n, (key, value) in enumerate(obj.items()):
+            yield f"{', ' if n else ''}{_quote(key)}: "
+            yield from _chunks(value, number)
+        yield "}"
+    elif kind is PnsSet:
+        yield '{"parameters": %s, "universe": %s, "cells": [' % (
+            _text(obj.parameters, number), _text(obj.universe, number))
+        for n, row in enumerate(_rows(obj, number)):
+            if n:
+                yield ", "
+            yield row
+        yield "]}"
+    else:
+        yield _text(obj, number)
 
 
 def dumps_pns(s: PnsSet) -> str:
@@ -222,7 +257,7 @@ def _reject_constant(name):
 
 def loads_pns(text: str) -> PnsSet:
     """Parse JSON text into a set; numbers become exact fractions."""
-    parse = functools.lru_cache(maxsize=MEMO_CAP)(parse_decimal)
+    parse = _literal_parser()
     try:
         doc = json.loads(text, parse_float=parse, parse_int=parse,
                          parse_constant=_reject_constant)
@@ -299,7 +334,7 @@ def loads_csv(text: str) -> PnsSet:
     if header != list(CSV_COLUMNS):
         raise SchemaError(
             f"header must be {', '.join(CSV_COLUMNS)}; got {_listed(header)}")
-    parse = functools.lru_cache(maxsize=MEMO_CAP)(parse_decimal)
+    parse = _literal_parser()
     seen, problems = {}, []
     for lineno, row in rows[1:]:
         if len(row) != len(CSV_COLUMNS):

@@ -23,6 +23,7 @@ from .algebra import (
     ONE,
     ZERO,
     as_unit,
+    negation_standard,
     tconorm_max,
     tnorm_min,
     triple_leq,
@@ -282,7 +283,8 @@ def complement(f: PnsSet) -> PnsSet:
     """Negate every triple and every possibility degree: (t, i, f), mu
     becomes (f, 1 - i, t), 1 - mu."""
     cells = tuple(
-        tuple(_trusted_cell(c.falsity, 1 - c.indeterminacy, c.truth, 1 - c.mu)
+        tuple(_trusted_cell(c.falsity, negation_standard(c.indeterminacy), c.truth,
+                            negation_standard(c.mu))
               for c in row)
         for row in f.cells
     )

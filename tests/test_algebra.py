@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import pnsoft.algebra
 import pnsoft.sets
@@ -174,6 +174,122 @@ class TestScalarNorms:
         if y <= z:
             assert t(x, y) <= t(x, z) and s(x, y) <= s(x, z)
         assert t(x, y) <= min(x, y) <= max(x, y) <= s(x, y)
+
+
+#: the plain Fraction expressions the arithmetic families compute from ints
+PLAIN = {
+    tnorm_product: lambda a, b: a * b,
+    tconorm_probsum: lambda a, b: a + b - a * b,
+    tnorm_lukasiewicz: lambda a, b: (
+        lambda s: s if s.numerator >= 0 else pnsoft.algebra._ZERO_DEGREE)(a + b - 1),
+    tconorm_lukasiewicz: lambda a, b: (
+        lambda s: s if s.numerator <= s.denominator else pnsoft.algebra._ONE_DEGREE)(a + b),
+    negation_standard: lambda a: 1 - a,
+}
+
+#: primes of 61 bits: no two of them share a factor with each other or with 10
+PRIMES_61 = (2**61 - 1, 2**61 - 31, 2**60 + 33)
+
+
+def over(q):
+    return st.integers(0, q).map(lambda k: Fraction(k, q))
+
+
+#: degrees in [0, 1]: both bounds, six and twelve decimals, 61-bit primes
+kernel_degrees = (st.sampled_from([Fraction(0), Fraction(1)]) | over(10**6)
+                  | over(10**12) | st.sampled_from(PRIMES_61).flatmap(over))
+
+
+def outcome(function, *args):
+    """What a call gives: its result's type and exact ratio (a Fraction's
+    numerator and denominator), or the type of what it raised."""
+    try:
+        value = function(*args)
+    except Exception as exc:
+        return "raises", type(exc)
+    return type(value), value.as_integer_ratio()
+
+
+class TestIntegerKernels:
+    """The product, probabilistic sum, Lukasiewicz and standard negation
+    compute from Fraction's int slots; each must give the Fraction the
+    plain operators give, and other operands must take those operators."""
+
+    @pytest.mark.parametrize("kernel", [tnorm_product, tconorm_probsum,
+                                        tnorm_lukasiewicz, tconorm_lukasiewicz],
+                             ids=lambda f: f.__name__)
+    @seed(20141)
+    @settings(max_examples=300, deadline=None)
+    @given(a=kernel_degrees, b=kernel_degrees)
+    def test_binary_kernels_equal_the_plain_expression(self, kernel, a, b):
+        assert outcome(kernel, a, b) == outcome(PLAIN[kernel], a, b)
+        assert outcome(kernel, b, a) == outcome(PLAIN[kernel], b, a)
+
+    @seed(20141)
+    @settings(max_examples=300, deadline=None)
+    @given(a=kernel_degrees)
+    def test_negation_equals_the_plain_expression(self, a):
+        assert outcome(negation_standard, a) == outcome(PLAIN[negation_standard], a)
+
+    def test_every_kind_of_degree_is_drawn(self):
+        drawn = []
+
+        @seed(20141)
+        @settings(max_examples=300, database=None)
+        @given(x=kernel_degrees)
+        def collect(x):
+            drawn.append(x)
+        collect()
+        assert {0, 1} <= set(drawn)
+        for q in (10**6, 10**12, *PRIMES_61):
+            assert any(x.denominator == q for x in drawn), q
+
+    @pytest.mark.parametrize("kernel", list(PLAIN), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("args", [
+        (0, 1), (1, 1), (1, 0), (Fraction(1, 3), 1), (0, Fraction(2, 7)),
+        (0.25, 0.5), (Fraction(1, 4), 0.5), (0.75, Fraction(1, 2)), (1.0, 1),
+    ], ids=str)
+    def test_ints_and_floats_take_the_plain_expression(self, kernel, args):
+        # a float has no numerator, so on floats the clamps raise as before
+        args = args[:1] if kernel is negation_standard else args
+        assert outcome(kernel, *args) == outcome(PLAIN[kernel], *args)
+
+    @pytest.mark.parametrize("a,b", [
+        (Fraction(1, 10), Fraction(2, 10)), (Fraction(0), Fraction(0)), (0, 0),
+        (Fraction(1, 2**61 - 1), Fraction(3, 2**60 + 33)),
+        (Fraction(1, 3), Fraction(1, 3)),
+    ], ids=str)
+    def test_the_t_norm_clamp_returns_the_shared_zero(self, a, b):
+        assert tnorm_lukasiewicz(a, b) is pnsoft.algebra._ZERO_DEGREE
+
+    @pytest.mark.parametrize("a,b", [
+        (Fraction(9, 10), Fraction(2, 10)), (Fraction(1), Fraction(1)), (1, 1),
+        (Fraction(2**61 - 2, 2**61 - 1), Fraction(2**60, 2**60 + 33)),
+        (Fraction(2, 3), Fraction(2, 3)),
+    ], ids=str)
+    def test_the_t_conorm_clamp_returns_the_shared_one(self, a, b):
+        assert tconorm_lukasiewicz(a, b) is pnsoft.algebra._ONE_DEGREE
+
+    def test_a_sum_on_the_bound_is_not_clamped(self):
+        # a + b - 1 == 0 and a + b == 1 are in range: the sum itself, as before
+        a, b = Fraction(1, 3), Fraction(2, 3)
+        for value in (tnorm_lukasiewicz(a, b), tconorm_lukasiewicz(a, b)):
+            assert type(value) is Fraction
+            assert value is not pnsoft.algebra._ZERO_DEGREE
+            assert value is not pnsoft.algebra._ONE_DEGREE
+        assert (tnorm_lukasiewicz(a, b), tconorm_lukasiewicz(a, b)) == (0, 1)
+
+    def test_complement_negates_through_the_standard_negation(self, monkeypatch):
+        s = load_pns(fixture("cars_assessment_a.json"))
+        calls = []
+        real = pnsoft.sets.negation_standard
+        monkeypatch.setattr(pnsoft.sets, "negation_standard",
+                            lambda x: calls.append(x) or real(x))
+        c = pnsoft.sets.complement(s)
+        cells = [cell for row in s.cells for cell in row]
+        assert calls == [x for cell in cells for x in (cell.indeterminacy, cell.mu)]
+        assert [(x.falsity, 1 - x.indeterminacy, x.truth, 1 - x.mu) for x in cells] == [
+            (y.truth, y.indeterminacy, y.falsity, y.mu) for row in c.cells for y in row]
 
 
 def tied_set(degrees):

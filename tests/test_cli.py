@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import importlib
+import io
 import json
 import os
 import random
@@ -467,6 +469,52 @@ class TestWriteFailures:
         assert done.stderr == (
             "error: cannot write output: 'ascii' codec can't encode character "
             "'\\xfc' in position 4: ordinal not in range(128)\n")
+
+
+class TestCollectorState:
+    """main pauses the cyclic collector while a command runs and leaves it
+    as it found it, however the command ends."""
+
+    @pytest.fixture
+    def collector(self):
+        collecting = gc.isenabled()
+        yield
+        if collecting:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def success(self, tmp_path, monkeypatch):
+        return ["complement", CARS_A]
+
+    def domain_error(self, tmp_path, monkeypatch):
+        return ["complement", str(tmp_path / "missing.json")]
+
+    def write_failure(self, tmp_path, monkeypatch):
+        path = tmp_path / "accented.json"
+        path.write_text(one_cell("\u00e91", "\u00fc1"), encoding="utf-8")
+        out = io.TextIOWrapper(open(tmp_path / "out.txt", "wb"), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", out)
+        return ["complement", str(path)]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case,status", [("success", 0), ("domain_error", 1),
+                                             ("write_failure", 1)])
+    def test_the_collector_is_as_the_caller_left_it(self, collector, tmp_path,
+                                                    monkeypatch, capsys, enabled,
+                                                    case, status):
+        argv = getattr(self, case)(tmp_path, monkeypatch)
+        during = []
+        real = pnsoft.cli.complement
+        monkeypatch.setattr(pnsoft.cli, "complement",
+                            lambda s: during.append(gc.isenabled()) or real(s))
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv) == status
+        assert gc.isenabled() is enabled
+        assert during == ([] if case == "domain_error" else [False])
+        if case == "write_failure":
+            assert "error: cannot write output: 'ascii' codec" in capsys.readouterr().err
+            sys.stdout.close()
 
 
 class TestErrors:

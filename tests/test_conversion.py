@@ -5,8 +5,10 @@ against longhand copies of the renderers that converted every occurrence.
 The counting tests at the end fail if a memo is dropped.
 """
 
+import argparse
 import collections
 import contextlib
+import gc
 import io
 import json
 import random
@@ -351,3 +353,141 @@ def test_dumps_formats_each_distinct_value_once(seeded_pair, monkeypatch,
     pnsoft.jsonio.save_pns(s, tmp_path / "saved.json")
     assert sum(scales.values()) == len(values)
     assert (tmp_path / "saved.json").read_text() == text
+
+
+# ---------------------------------------------------------------------------
+# six decimals from ints, and a literal memo that steps aside
+
+def refusing_float(monkeypatch):
+    def refuse(x):
+        raise AssertionError(f"float({x!r}) on the integer path")
+    monkeypatch.setattr(pnsoft.cli, "float", refuse, raising=False)
+
+
+def counting_float(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pnsoft.cli, "float", lambda x: calls.append(x) or float(x),
+                        raising=False)
+    return calls
+
+
+#: every denominator of a value with at most six decimals
+DIVISORS_OF_A_MILLION = sorted(2**i * 5**j for i in range(7) for j in range(7))
+
+
+def micro_sample():
+    """k/10**6 for every k near 0 and 1 and every 97th k between."""
+    ks = [*range(0, 2001), *range(2001, 10**6 - 2000, 97), *range(10**6 - 2000, 10**6 + 1)]
+    return [Fraction(k, 10**6) for k in ks]
+
+
+def divisor_sample():
+    """k/d for each d dividing 10**6: every k up to d, or about 1000 of them
+    and the two next to each end."""
+    values = []
+    for d in DIVISORS_OF_A_MILLION:
+        values += [Fraction(k, d) for k in range(0, d, max(1, d // 1000))]
+        values += [Fraction(1, d), Fraction(d - 1, d), Fraction(d, d)]
+    return values
+
+
+@pytest.mark.parametrize("sample", [micro_sample, divisor_sample])
+def test_six_decimals_from_ints_match_the_float_text(monkeypatch, sample):
+    values = sample()
+    assert {Fraction(0), Fraction(1), Fraction(1, 10**6)} <= set(values)
+    want = ["%.6f" % float(x) for x in values]
+    refusing_float(monkeypatch)
+    assert [_six_decimals(x) for x in values] == want
+
+
+@pytest.mark.parametrize("x", [
+    Fraction(3, 2), Fraction(10**6 + 1, 10**6), Fraction(2 * 10**20 + 1, 2),
+    Fraction(-1, 2), Fraction(-1, 10**6), Fraction(1, 10**12),
+    Fraction(123456789012, 10**12), Fraction(1, 3), Fraction(1, 2**61 - 1),
+    0, 1, 7, 10**20 + 1, 0.5, 1 / 3,
+], ids=repr)
+def test_other_numbers_take_the_float_path(monkeypatch, x):
+    want = "%.6f" % float(x)
+    calls = counting_float(monkeypatch)
+    assert _six_decimals(x) == want
+    assert calls == [x]
+
+
+def decimal_set(rng, n_params, n_elems, decimals):
+    """A document of n_params x n_elems cells, each degree a literal with
+    `decimals` digits after the point."""
+    scale = 10 ** decimals
+
+    def literal(k):
+        return "%d.%0*d" % (k // scale, decimals, k % scale)
+    return {
+        "parameters": [f"e{k + 1}" for k in range(n_params)],
+        "universe": [f"u{k + 1}" for k in range(n_elems)],
+        "cells": [[{field: literal(rng.randint(0, scale))
+                    for field in ("t", "i", "f", "mu")}
+                   for _ in range(n_elems)] for _ in range(n_params)],
+    }
+
+
+def degrees(s):
+    return [exact(x) for row in s.cells for c in row for x in (c.truth, c.indeterminacy,
+                                                               c.falsity, c.mu)]
+
+
+@pytest.mark.parametrize("decimals", [2, 6])
+@pytest.mark.parametrize("load,text", [(loads_pns, number_text), (loads_csv, csv_text)],
+                         ids=["json", "csv"])
+def test_the_literal_memo_gives_the_unmemoized_set(monkeypatch, decimals, load, text):
+    doc = decimal_set(random.Random(decimals), 10, 100, decimals)
+    literals = [v for row in doc["cells"] for cell in row for v in cell.values()]
+    calls = counting(monkeypatch, pnsoft.jsonio, "parse_decimal", str)
+    memoized = load(text(doc))
+    if decimals == 2:  # at most once per distinct literal
+        assert sorted(calls) == sorted(set(literals)) and max(calls.values()) == 1
+    else:  # almost every literal is new: the memo stepped aside
+        assert len(set(literals)) > 0.99 * len(literals)
+        assert sum(calls.values()) > len(set(literals))
+    monkeypatch.setattr(pnsoft.jsonio, "_literal_parser", lambda: parse_decimal)
+    plain = load(text(doc))
+    assert memoized == plain and degrees(memoized) == degrees(plain)
+
+
+@pytest.mark.parametrize("hits,steps_aside", [(0, True), (511, True), (512, False)])
+def test_the_literal_memo_steps_aside_when_its_probe_misses(monkeypatch, hits,
+                                                            steps_aside):
+    probe = pnsoft.jsonio._LITERAL_PROBE
+    assert probe == 512
+    calls = counting(monkeypatch, pnsoft.jsonio, "parse_decimal", str)
+    parse = pnsoft.jsonio._literal_parser()
+    first = parse("0.5")
+    for _ in range(hits):
+        assert parse("0.5") is first
+    distinct = ["0.%06d" % k for k in range(probe + 10)]  # "0.5" is the first distinct
+    values = [parse(t) for t in distinct]
+    again = [parse(t) for t in distinct]
+    assert again == values == [Fraction(t) for t in distinct]
+    assert calls["0.5"] == 1
+    if steps_aside:  # from the probe's last literal on, each parse is fresh
+        assert calls[distinct[0]] == 2 and calls[distinct[-1]] == 2
+        assert again[-1] is not values[-1]
+    else:
+        assert max(calls.values()) == 1
+        assert all(a is b for a, b in zip(again, values))
+
+
+def test_a_render_leaves_no_reference_cycle():
+    s = loads_pns(number_text(decimal_set(random.Random(7), 20, 200, 6)))
+    args = argparse.Namespace(format="json")
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        pnsoft.jsonio.dumps_pns(s)
+        assert gc.collect() == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            pnsoft.cli._emit(args, s, None)
+            pnsoft.cli._emit(args, {"product": s, "rows": [[Fraction(1, 3)], ["x"]]}, None)
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
