@@ -87,7 +87,7 @@ def as_unit(value, what: str = "value") -> Fraction:
             out = Fraction(value)
         except (TypeError, ValueError):
             raise ValueError(f"{what} has unsupported type {type(value).__name__}") from None
-    if not 0 <= out.numerator <= out.denominator:  # denominators are positive
+    if not 0 <= out._numerator <= out._denominator:  # denominators are positive
         raise ValueError(f"{what} must lie in [0, 1], got {_plain(value)}")
     return out
 
@@ -213,7 +213,9 @@ class NormProfile:
     """The t-norm and t-conorm that union and intersection are parameterized by.
 
     Both combine scalar degrees; the complement is always the standard one.
-    Like the bare PnsSet constructor, this stores what it is given;
+    Like the bare PnsSet constructor, this stores what it is given: its
+    norms must return exact Fractions in [0, 1], as the named families do,
+    since the set operators keep what they return in cells unchecked.
     `make_profile` builds one from family names.
     """
 

@@ -247,17 +247,11 @@ def _cmd_decide(args) -> int:
     matrices = (("truth", report.weighted_truth),
                 ("indeterminacy", report.weighted_indeterminacy),
                 ("falsity", report.weighted_falsity))
-    doc = {"universe": report.universe, "product": product}
-    for name, rows in matrices:
-        doc[f"weighted_{name}"] = {"rows": product.parameters,
+    doc = {**vars(report), "product": product,
+           **{f"weighted_{name}": {"rows": product.parameters,
                                    "columns": product.universe,
                                    "entries": rows}
-    doc.update(truth_scores=report.truth_scores,
-               indeterminacy_scores=report.indeterminacy_scores,
-               falsity_scores=report.falsity_scores,
-               decision_scores=report.decision_scores,
-               ranking=report.ranking,
-               winners=report.winners)
+              for name, rows in matrices}}
     _emit(args, doc, partial(_decide_lines, report, product, matrices),
           memo=lambda number: _by_identity(_memoized(number)))
     return 0
@@ -421,7 +415,9 @@ def main(argv=None) -> int:
     except (OSError, UnicodeEncodeError) as exc:  # commands raise these only in writing
         # what is still buffered goes to devnull, so that the flush at
         # interpreter exit does not fail a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         if not isinstance(exc, BrokenPipeError):  # a closed reader wants no more
             print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1

@@ -47,8 +47,7 @@ def weighted_matrices(p: ProductPnsSet):
     Entries of one (degree, possibility) pair share one Fraction, built
     once from the integers; equal values of other pairs get their own.
     The integers are read from Fraction's slots `_numerator` and
-    `_denominator`, as `algebra.tnorm_min` reads them; a degree without
-    them, such as an int, is read through its public properties.
+    `_denominator`, as `algebra.tnorm_min` reads them.
     """
     blended, scaled = {}, {}   # (numerators, denominators) -> shared Fraction
     wt, wi, wf = [], [], []
@@ -56,12 +55,8 @@ def weighted_matrices(p: ProductPnsSet):
         rt, ri, rf = [], [], []
         for c in row:
             t, i, f, m = c.truth, c.indeterminacy, c.falsity, c.mu
-            try:
-                tn, td, in_, id_ = t._numerator, t._denominator, i._numerator, i._denominator
-                fn, fd, mn, md = f._numerator, f._denominator, m._numerator, m._denominator
-            except AttributeError:
-                tn, td, in_, id_ = t.numerator, t.denominator, i.numerator, i.denominator
-                fn, fd, mn, md = f.numerator, f.denominator, m.numerator, m.denominator
+            tn, td, in_, id_ = t._numerator, t._denominator, i._numerator, i._denominator
+            fn, fd, mn, md = f._numerator, f._denominator, m._numerator, m._denominator
             key = (tn, td, mn, md)
             value = blended.get(key)
             if value is None:

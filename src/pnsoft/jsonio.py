@@ -52,11 +52,11 @@ def decimal_string(value) -> str:
     anything else falls back to the float repr.
     """
     fr = value if isinstance(value, Fraction) else Fraction(value)
-    scaled = _decimal_scale(fr.denominator)
+    scaled = _decimal_scale(fr._denominator)
     if scaled is None:
         return repr(float(value))
     scale, factor = scaled
-    numerator = fr.numerator
+    numerator = fr._numerator
     sign = "-" if numerator < 0 else ""
     magnitude = abs(numerator) * factor
     try:
@@ -143,7 +143,7 @@ def _memoized(number):
     def cached(x):
         if type(x) is not Fraction:
             return number(x)
-        key = (x.numerator, x.denominator)
+        key = (x._numerator, x._denominator)
         text = memo.get(key)
         if text is None:
             text = number(x)

@@ -58,9 +58,11 @@ class PossValue:
 class PnsSet:
     """Labeled matrix of PossValue, one row per parameter, one column per element.
 
-    The bare constructor stores what it is given. `from_rows` is the
-    checked construction; to audit an instance built by hand, pass its
-    fields to `from_rows` and read the SchemaError's violations.
+    The bare constructor stores what it is given, and every reader of the
+    cells needs each degree to be an exact Fraction in [0, 1]. `from_rows`
+    is the checked construction that makes them so; to audit an instance
+    built by hand, pass its fields to `from_rows` and read the
+    SchemaError's violations.
     """
 
     parameters: tuple

@@ -38,29 +38,20 @@ def _check_p(p):
 
 
 # _phi3 and _mu read the int slots of Fraction, as algebra.tnorm_min does:
-# the public properties cost a call each. Degrees without the slots, such
-# as ints in a set built by hand, are read through the properties.
+# the public properties cost a call each.
 
 def _phi3(cell):
     """3 * phi of a cell's triple as an int numerator over the lcm of its denominators."""
     t, i, f = cell.truth, cell.indeterminacy, cell.falsity
-    try:
-        tn, td, in_, id_ = t._numerator, t._denominator, i._numerator, i._denominator
-        fn, fd = f._numerator, f._denominator
-    except AttributeError:
-        tn, td, in_, id_ = t.numerator, t.denominator, i.numerator, i.denominator
-        fn, fd = f.numerator, f.denominator
+    tn, td, in_, id_ = t._numerator, t._denominator, i._numerator, i._denominator
+    fn, fd = f._numerator, f._denominator
     den = lcm(td, id_, fd)
     return tn * (den // td) + in_ * (den // id_) + fn * (den // fd), den
 
 
 def _mu(cell):
     """A cell's possibility degree as (numerator, denominator) ints."""
-    mu = cell.mu
-    try:
-        return mu._numerator, mu._denominator
-    except AttributeError:
-        return mu.numerator, mu.denominator
+    return cell.mu._numerator, cell.mu._denominator
 
 
 def _rows(s: PnsSet, key, cell_ints):

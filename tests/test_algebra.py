@@ -347,9 +347,9 @@ class TestMinMaxPick:
 
     def test_fraction_keeps_the_slots_the_picks_read(self):
         assert {"_numerator", "_denominator"} <= set(Fraction.__slots__), (
-            "tnorm_min and tconorm_max read Fraction._numerator and "
-            "_denominator; without them every min/max pick falls back to "
-            "the builtin min and max, three times slower")
+            "the norm kernels, as_unit and the cell readers of decision, "
+            "similarity and jsonio read Fraction._numerator and "
+            "_denominator; without them every load and every operator fails")
 
     def test_picks_never_call_the_rich_comparisons(self, monkeypatch):
         degrees = itertools.cycle(TIED_DEGREES)

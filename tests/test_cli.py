@@ -471,6 +471,28 @@ class TestWriteFailures:
             "'\\xfc' in position 4: ordinal not in range(128)\n")
 
 
+    def test_a_write_failure_in_process_closes_the_descriptor_it_opens(
+            self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "accented.json"
+        path.write_text(one_cell("\u00e91", "\u00fc1"), encoding="utf-8")
+        real_open, opened = os.open, []
+
+        def recording_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(os, "open", recording_open)
+        for _ in range(3):
+            with io.TextIOWrapper(open(tmp_path / "out.txt", "wb"), encoding="ascii") as out:
+                monkeypatch.setattr(sys, "stdout", out)
+                assert main(["complement", str(path)]) == 1
+        assert len(opened) == 3
+        for fd in opened:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert capsys.readouterr().err.count("error: cannot write output: ") == 3
+
+
 class TestCollectorState:
     """main pauses the cyclic collector while a command runs and leaves it
     as it found it, however the command ends."""

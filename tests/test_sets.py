@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import pickle
 from fractions import Fraction
 
@@ -18,12 +19,15 @@ from pnsoft import (
     from_document,
     intersection,
     is_subset,
+    loads_csv,
+    loads_pns,
     make_profile,
     n_conorm,
     n_norm,
     negate_triple,
     null_set,
     or_product,
+    to_pns_set,
     union,
     universal_set,
 )
@@ -149,6 +153,60 @@ class TestSlottedCells:
             for cell, want in zip(cells(built), checked):
                 assert cell == want and hash(cell) == hash(want)
                 assert all(type(getattr(cell, name)) is Fraction for name in self.DEGREES)
+
+
+#: one cell per kind of input degree: int, float, string and Fraction
+RAW_CELLS = ((1, 0, 0, 1), (0.5, 0.25, 0.75, 1.0), ("1/3", "0.2", "1", "0"),
+             (Fraction(2, 7), Fraction(0), Fraction(1), Fraction(5, 6)))
+CELL_FORMS = {
+    "sequence": tuple,
+    "mapping": lambda c: dict(zip(("t", "i", "f", "mu"), c)),
+    "PossValue": lambda c: PossValue(c[:3], c[3]),
+}
+
+
+def raw_set(form, cells=RAW_CELLS):
+    return PnsSet.from_rows(["e1", "e2"], [f"u{j}" for j in range(len(cells))],
+                            [[CELL_FORMS[form](c) for c in cells]] * 2)
+
+
+def exact_builders():
+    """(id, zero-argument builder) for every public way to make a set."""
+    f, g = raw_set("sequence"), raw_set("sequence", RAW_CELLS[::-1])
+    builders = [(f"from_rows-{form}", lambda form=form: raw_set(form)) for form in CELL_FORMS]
+    builders += [
+        ("loads_pns", lambda: loads_pns(json.dumps(
+            {"parameters": ["e1"], "universe": ["u1", "u2"],
+             "cells": [[{"t": 1, "i": 0, "f": 0.5, "mu": 0.25},
+                        {"t": 0.125, "i": 1, "f": 0, "mu": 1.0}]]}))),
+        ("loads_csv", lambda: loads_csv("parameter,element,t,i,f,mu\n"
+                                        "e1,u1,1,0,0.5,1/3\ne1,u2,0.125,1,0,1.0\n")),
+        ("null_set", lambda: null_set(["e1"], ["u1", "u2"])),
+        ("universal_set", lambda: universal_set(["e1"], ["u1", "u2"])),
+        ("complement", lambda: complement(f)),
+        ("and_product", lambda: and_product(f, g)),
+        ("or_product", lambda: or_product(f, g)),
+        ("to_pns_set", lambda: to_pns_set(and_product(f, g))),
+        ("pickle", lambda: pickle.loads(pickle.dumps(f))),
+    ]
+    for pr in PROFILES:
+        names = f"{pr.tnorm.__name__}-{pr.tconorm.__name__}"
+        builders.append((f"union-{names}", lambda pr=pr: union(f, g, pr)))
+        builders.append((f"intersection-{names}", lambda pr=pr: intersection(f, g, pr)))
+    return builders
+
+
+class TestCellsHoldExactFractions:
+    """Every public way to make a set gives cells whose four degrees are
+    exact Fractions: the cell readers and the norm kernels read their slots."""
+
+    @pytest.mark.parametrize("build", [pytest.param(build, id=name)
+                                       for name, build in exact_builders()])
+    def test_every_degree_is_an_exact_fraction(self, build):
+        s = build()
+        degrees = [getattr(c, name) for row in s.cells for c in row
+                   for name in TestSlottedCells.DEGREES]
+        assert degrees and all(type(x) is Fraction for x in degrees)
 
 
 def violations(build, *args):

@@ -25,7 +25,6 @@ from pnsoft import (
 )
 from pnsoft.cli import _num, _set_table, _six_decimals
 from pnsoft.jsonio import _chunks, dumps_pns
-from pnsoft.sets import _trusted_cell
 from pnsoft.similarity import MAX_ORDER
 
 from _reference import brute_similarity
@@ -222,14 +221,6 @@ class TestIntegerKernel:
             assert got == want
         else:
             assert_identical(got, want, Fraction)
-
-    def test_degrees_without_fraction_slots_are_read_too(self):
-        # the bare constructor stores what it is given, such as int degrees
-        ints = PnsSet(("e1",), ("u1", "u2"),
-                      ((_trusted_cell(1, 0, 0, 1), _trusted_cell(0, 1, 1, 1)),))
-        checked = PnsSet.from_rows(["e1"], ["u1", "u2"], [[(1, 0, 0, 1), (0, 1, 1, 1)]])
-        half = PnsSet.from_rows(["e1"], ["u1", "u2"], [[(.5, 0, 0, .5), (0, .5, 1, 1)]])
-        assert similarity(ints, half, p=1) == similarity(checked, half, p=1)
 
     @pytest.mark.parametrize("p", [1, 2, MAX_ORDER])
     def test_identical_rows(self, cars, p):
