@@ -58,14 +58,15 @@ def as_unit(value, what: str = "value") -> Fraction:
     range input raises ValueError rather than being clamped: clamping would
     silently repair broken input data. An exact Fraction already in range,
     which is what every parsed degree is, is returned after one comparison
-    of its int slots (see tnorm_min).
+    of its int slots (see tnorm_min); an instance of a Fraction subclass
+    becomes an exact Fraction of the same value.
     """
     if type(value) is Fraction and 0 <= value._numerator <= value._denominator:
         return value
     if isinstance(value, bool):
         raise ValueError(f"{what} must be a number, got a boolean")
     if isinstance(value, Fraction):
-        out = value
+        out = Fraction(value)
     elif isinstance(value, int):
         out = Fraction(value)
     elif isinstance(value, float):

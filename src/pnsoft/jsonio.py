@@ -93,42 +93,34 @@ def from_document(doc) -> PnsSet:
 #: Entries a conversion memo holds, so that data of all-distinct values
 #: costs bounded memory: a load's literal -> Fraction memo and a render
 #: memo stop inserting at this size. Two-decimal data has at most 101
-#: distinct degrees; a 20x200 decide renders 5,508 distinct values held in
-#: 18,636 objects, and the CLI puts a memo by object identity in front of
-#: this one for that output.
+#: distinct degrees; six-decimal data fills the literal memo, which then
+#: parses each further new literal every time it occurs. A 20x200 decide
+#: renders 5,508 distinct values held in 18,636 objects, and the CLI puts a
+#: memo by object identity in front of this one for that output.
 MEMO_CAP = 4096
 
-#: Distinct literals a load's memo sees before it decides whether it pays:
-#: it steps aside if they came with fewer hits than this.
-_LITERAL_PROBE = 512
+
+class _Literals(dict):
+    """Literal -> Fraction memo whose `__getitem__` parses on a miss."""
+
+    __slots__ = ()
+
+    def __missing__(self, text):
+        value = parse_decimal(text)
+        if len(self) < MEMO_CAP:
+            self[text] = value
+        return value
 
 
 def _literal_parser():
     """`parse_decimal` with each literal's Fraction memoized. One per load.
 
-    Equal literals share one Fraction, parsed once, up to MEMO_CAP of them.
-    Once the first _LITERAL_PROBE distinct literals have come with fewer
-    than _LITERAL_PROBE hits, as on six-decimal data where almost every
-    literal is new, the memo steps aside and each later literal goes
-    straight to `parse_decimal`. Errors are raised, not memoized.
+    Each of the first MEMO_CAP distinct literals is parsed once, and every
+    repeat returns that same Fraction through a dict lookup in C, with no
+    Python call. Past the cap, a new literal is parsed each time it
+    occurs. Errors are raised, not memoized.
     """
-    memo, hits = {}, 0
-
-    def parse(text):
-        nonlocal memo, hits
-        if memo is None:
-            return parse_decimal(text)
-        value = memo.get(text)
-        if value is not None:
-            hits += 1
-            return value
-        value = parse_decimal(text)
-        if len(memo) < MEMO_CAP:
-            memo[text] = value
-            if len(memo) == _LITERAL_PROBE and hits < _LITERAL_PROBE:
-                memo = None
-        return value
-    return parse
+    return _Literals().__getitem__
 
 
 def _memoized(number):

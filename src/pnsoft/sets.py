@@ -142,7 +142,10 @@ def _texts(what, labels):
 
 
 _new = object.__new__
-_set = object.__setattr__
+# the slot descriptors' setters, bound once: a frozen dataclass refuses
+# setattr, and object.__setattr__ would look each name up on every store
+_set_truth, _set_indeterminacy, _set_falsity, _set_mu = (
+    vars(PossValue)[name].__set__ for name in ("truth", "indeterminacy", "falsity", "mu"))
 
 
 def _trusted_cell(truth, indeterminacy, falsity, mu) -> PossValue:
@@ -154,10 +157,10 @@ def _trusted_cell(truth, indeterminacy, falsity, mu) -> PossValue:
     Equal to, and hashing like, the checked cell.
     """
     cell = _new(PossValue)
-    _set(cell, "truth", truth)
-    _set(cell, "indeterminacy", indeterminacy)
-    _set(cell, "falsity", falsity)
-    _set(cell, "mu", mu)
+    _set_truth(cell, truth)
+    _set_indeterminacy(cell, indeterminacy)
+    _set_falsity(cell, falsity)
+    _set_mu(cell, mu)
     return cell
 
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
+from operator import mul, sub
 
 from .errors import DegenerateRowError, PnsError, _plain
 from .sets import PnsSet, _require_same_labels
@@ -26,9 +28,10 @@ def phi(triple: NeutrosophicTriple) -> Fraction:
 
 
 #: Largest Minkowski order accepted. Exact powers d**p grow with p: a
-#: 10x50 two-decimal candidate takes about 3 ms at p = 2, 16 ms at p = 1000
-#: and 0.6 s at p = 10000 (2-vCPU Xeon VM, Python 3.11.7). Beyond an order
-#: of a few hundred the distance is the row maximum to within float precision.
+#: 10x50 two-decimal candidate takes about 0.6 ms at p = 2, 5 ms at
+#: p = 1000 and 0.17 s at p = 10000 (2-vCPU Xeon VM, Python 3.11.7). Beyond
+#: an order of a few hundred the distance is the row maximum to within float
+#: precision.
 MAX_ORDER = 1000
 
 
@@ -54,8 +57,31 @@ def _mu(cell):
     return cell.mu._numerator, cell.mu._denominator
 
 
+#: A row is kept as int numerators over one common denominator when that
+#: denominator, the lcm of the row's own, has at most this many bits. Over
+#: distinct 61-bit primes it has thousands of bits, and two such 20x200 sets
+#: compared as int lists took 18.9 s and 51 MB more memory at p = 2, against
+#: 3.1 s per cell pair (10x100 at p = 10: 12.5 s against 4.2 s).
+_ROW_BITS = 64
+
+
+def _row(pairs):
+    """A row of (numerator, denominator) int pairs as (L, numerators, pairs).
+
+    L is the lcm of the denominators and the numerators are the row's
+    values as ints over L, both None when L has more than _ROW_BITS bits.
+    """
+    pairs = tuple(pairs)
+    den = 1
+    for d in {d for _, d in pairs}:
+        den = lcm(den, d)
+        if den.bit_length() > _ROW_BITS:  # on primes, from the second one on
+            return None, None, pairs
+    return den, [n * (den // d) for n, d in pairs], pairs
+
+
 def _rows(s: PnsSet, key, cell_ints):
-    """The rows of `s` with each cell read once as `cell_ints(cell)` int pairs.
+    """The rows of `s`, each cell read once as `cell_ints(cell)`, through `_row`.
 
     Built on first use and kept in the set's instance dict under `key`: a
     set is immutable, so they never go stale, and a model compared with a
@@ -64,17 +90,30 @@ def _rows(s: PnsSet, key, cell_ints):
     """
     rows = s.__dict__.get(key)
     if rows is None:
-        rows = s.__dict__[key] = tuple(tuple(map(cell_ints, row)) for row in s.cells)
+        rows = s.__dict__[key] = tuple(_row(map(cell_ints, row)) for row in s.cells)
     return rows
+
+
+def _common(f_den, xs, g_den, ys):
+    """Numerators xs over f_den and ys over g_den as numerators over the
+    lcm L of the two denominators: (L, xs over L, ys over L)."""
+    den = lcm(f_den, g_den)
+    if den != f_den:
+        xs = list(map(mul, xs, repeat(den // f_den)))
+    if den != g_den:
+        ys = list(map(mul, ys, repeat(den // g_den)))
+    return den, xs, ys
 
 
 def value_similarity(f: PnsSet, g: PnsSet, p: int = 2):
     """Per parameter Minkowski similarity of the phi profiles over the universe.
 
-    Returns (components, mean). A cell pair gives |phi(a) - phi(b)| as an
-    int over 3 times the lcm of its six denominators. The p-th powers of
-    those ints are summed per denominator, each sum becomes one Fraction,
-    and their total is the exact sum of d**p. With p=1 everything stays
+    Returns (components, mean). Each distance |phi(a) - phi(b)| is an int
+    over 3 times a denominator. Two int-list rows (see `_row`) share one:
+    the lcm of theirs, and the p-th powers of the distances are summed as
+    ints. Any other pair of rows takes one lcm per cell pair, the powers
+    are summed per denominator, and each sum becomes one Fraction. Either
+    way the total is the exact sum of d**p. With p=1 everything stays
     rational. For p >= 2 the floats start at the root: the exact sum is
     divided by the p-th power of the exact row maximum, so the float it
     becomes lies in [1, n] and cannot underflow to 0 however large p is.
@@ -83,24 +122,35 @@ def value_similarity(f: PnsSet, g: PnsSet, p: int = 2):
     _require_same_labels(f, g)
     n = len(f.universe)
     components = []
-    for fr, gr in zip(_rows(f, "_phi3_rows", _phi3), _rows(g, "_phi3_rows", _phi3)):
-        sums = {}               # lcm L -> sum of the numerators of d**p over (3L)**p
-        top, top_den = 0, 1     # the row maximum d is top / (3 * top_den)
-        for (x, x_den), (y, y_den) in zip(fr, gr):
-            den = lcm(x_den, y_den)
-            d = abs(x * (den // x_den) - y * (den // y_den))
-            if p != 1:
-                if d * top_den > top * den:
-                    top, top_den = d, den
-                d **= p
-            sums[den] = sums.get(den, 0) + d
-        total = sum(Fraction(num, (3 * den) ** p) for den, num in sums.items())
-        if p == 1:
-            m = 1 - total / n
+    for (f_den, xs, f_pairs), (g_den, ys, g_pairs) in zip(_rows(f, "_phi3_rows", _phi3),
+                                                          _rows(g, "_phi3_rows", _phi3)):
+        if f_den and g_den:
+            den, xs, ys = _common(f_den, xs, g_den, ys)
+            ds = list(map(abs, map(sub, xs, ys)))   # over 3 * den
+            if p == 1:
+                m = 1 - Fraction(sum(ds), 3 * den) / n
+            else:
+                top = max(ds)
+                scaled = sum(map(pow, ds, repeat(p))) / top ** p if top else 0.0
+                m = 1 - scaled ** (1 / p) * (top / (3 * den)) / n ** (1 / p)
         else:
-            top = Fraction(top, 3 * top_den)
-            scaled = float(total / top ** p) if top else 0.0
-            m = 1 - scaled ** (1 / p) * float(top) / n ** (1 / p)
+            sums = {}               # lcm L -> sum of the numerators of d**p over (3L)**p
+            top, top_den = 0, 1     # the row maximum d is top / (3 * top_den)
+            for (x, x_den), (y, y_den) in zip(f_pairs, g_pairs):
+                den = lcm(x_den, y_den)
+                d = abs(x * (den // x_den) - y * (den // y_den))
+                if p != 1:
+                    if d * top_den > top * den:
+                        top, top_den = d, den
+                    d **= p
+                sums[den] = sums.get(den, 0) + d
+            total = sum(Fraction(num, (3 * den) ** p) for den, num in sums.items())
+            if p == 1:
+                m = 1 - total / n
+            else:
+                top = Fraction(top, 3 * top_den)
+                scaled = float(total / top ** p) if top else 0.0
+                m = 1 - scaled ** (1 / p) * float(top) / n ** (1 / p)
         components.append(m)
     return tuple(components), sum(components) / len(components)
 
@@ -108,23 +158,30 @@ def value_similarity(f: PnsSet, g: PnsSet, p: int = 2):
 def possibility_similarity(f: PnsSet, g: PnsSet):
     """Per parameter ratio similarity of the possibility rows.
 
-    The mu values of a cell pair are read as ints over the lcm of their two
-    denominators and summed per denominator, one Fraction each. A parameter
-    whose mu values vanish in both sets leaves the ratio undefined; that is
+    Two int-list rows (see `_row`) are read as ints over the lcm of their
+    denominators, and the ratio is the quotient of two int sums. Any other
+    pair of rows reads each mu pair over the lcm of its two denominators
+    and sums per denominator, one Fraction each. A parameter whose mu
+    values vanish in both sets leaves the ratio undefined; that is
     reported, not patched over.
     """
     _require_same_labels(f, g)
     components = []
-    for label, fr, gr in zip(f.parameters, _rows(f, "_mu_rows", _mu),
-                             _rows(g, "_mu_rows", _mu)):
-        diffs, sums = {}, {}    # lcm of a mu pair -> sums of |a - b| and a + b
-        for (x, x_den), (y, y_den) in zip(fr, gr):
-            den = lcm(x_den, y_den)
-            x, y = x * (den // x_den), y * (den // y_den)
-            diffs[den] = diffs.get(den, 0) + abs(x - y)
-            sums[den] = sums.get(den, 0) + x + y
-        num = sum(Fraction(diff, den) for den, diff in diffs.items())
-        den = sum(Fraction(both, den) for den, both in sums.items())
+    for label, (f_den, xs, f_pairs), (g_den, ys, g_pairs) in zip(
+            f.parameters, _rows(f, "_mu_rows", _mu), _rows(g, "_mu_rows", _mu)):
+        if f_den and g_den:
+            _, xs, ys = _common(f_den, xs, g_den, ys)
+            # a Fraction numerator keeps num / den exact
+            num, den = Fraction(sum(map(abs, map(sub, xs, ys)))), sum(xs) + sum(ys)
+        else:
+            diffs, sums = {}, {}    # lcm of a mu pair -> sums of |a - b| and a + b
+            for (x, x_den), (y, y_den) in zip(f_pairs, g_pairs):
+                den = lcm(x_den, y_den)
+                x, y = x * (den // x_den), y * (den // y_den)
+                diffs[den] = diffs.get(den, 0) + abs(x - y)
+                sums[den] = sums.get(den, 0) + x + y
+            num = sum(Fraction(diff, den) for den, diff in diffs.items())
+            den = sum(Fraction(both, den) for den, both in sums.items())
         if den == 0:
             raise DegenerateRowError(
                 f"parameter {_plain(label)}: all possibility degrees are zero in both sets")

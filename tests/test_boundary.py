@@ -249,10 +249,17 @@ def test_a_degree_off_the_fast_path_keeps_its_message(value, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("value", [Fraction(0), Fraction(1, 3), Fraction(1), _Degree(1, 2)],
-                         ids=["zero", "third", "one", "subclass"])
+@pytest.mark.parametrize("value", [Fraction(0), Fraction(1, 3), Fraction(1)],
+                         ids=["zero", "third", "one"])
 def test_a_degree_in_range_is_returned_as_it_is(value):
     assert pnsoft.algebra.as_unit(value, "t") is value
+
+
+@pytest.mark.parametrize("value", [_Degree(0), _Degree(1, 2), _Degree(1)],
+                         ids=["zero", "half", "one"])
+def test_a_subclass_degree_becomes_an_exact_fraction(value):
+    out = pnsoft.algebra.as_unit(value, "t")
+    assert type(out) is Fraction and out == value
 
 
 def one_row(cells):

@@ -356,7 +356,7 @@ def test_dumps_formats_each_distinct_value_once(seeded_pair, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# six decimals from ints, and a literal memo that steps aside
+# six decimals from ints, and a literal memo bounded by MEMO_CAP
 
 def refusing_float(monkeypatch):
     def refuse(x):
@@ -434,45 +434,65 @@ def degrees(s):
                                                                c.falsity, c.mu)]
 
 
+LOADERS = pytest.mark.parametrize(
+    "load,text", [(loads_pns, number_text), (loads_csv, csv_text)], ids=["json", "csv"])
+
+
+def loaded_twice(monkeypatch, load, text, doc):
+    """`doc` loaded with the literal memo, the parse_decimal calls that
+    load made, and `doc` loaded with a plain parse_decimal."""
+    calls = counting(monkeypatch, pnsoft.jsonio, "parse_decimal", str)
+    memoized = load(text(doc))
+    monkeypatch.undo()
+    monkeypatch.setattr(pnsoft.jsonio, "_literal_parser", lambda: parse_decimal)
+    return memoized, calls, load(text(doc))
+
+
 @pytest.mark.parametrize("decimals", [2, 6])
-@pytest.mark.parametrize("load,text", [(loads_pns, number_text), (loads_csv, csv_text)],
-                         ids=["json", "csv"])
+@LOADERS
 def test_the_literal_memo_gives_the_unmemoized_set(monkeypatch, decimals, load, text):
     doc = decimal_set(random.Random(decimals), 10, 100, decimals)
     literals = [v for row in doc["cells"] for cell in row for v in cell.values()]
-    calls = counting(monkeypatch, pnsoft.jsonio, "parse_decimal", str)
-    memoized = load(text(doc))
-    if decimals == 2:  # at most once per distinct literal
-        assert sorted(calls) == sorted(set(literals)) and max(calls.values()) == 1
-    else:  # almost every literal is new: the memo stepped aside
-        assert len(set(literals)) > 0.99 * len(literals)
-        assert sum(calls.values()) > len(set(literals))
-    monkeypatch.setattr(pnsoft.jsonio, "_literal_parser", lambda: parse_decimal)
-    plain = load(text(doc))
+    assert len(set(literals)) <= MEMO_CAP
+    memoized, calls, plain = loaded_twice(monkeypatch, load, text, doc)
+    assert calls == collections.Counter(set(literals))  # each distinct literal once
     assert memoized == plain and degrees(memoized) == degrees(plain)
 
 
-@pytest.mark.parametrize("hits,steps_aside", [(0, True), (511, True), (512, False)])
-def test_the_literal_memo_steps_aside_when_its_probe_misses(monkeypatch, hits,
-                                                            steps_aside):
-    probe = pnsoft.jsonio._LITERAL_PROBE
-    assert probe == 512
+@LOADERS
+def test_the_literal_memo_parses_each_of_1001_literals_once(monkeypatch, load, text):
+    # every three-decimal literal in [0, 1] once per row, as all four
+    # degrees of one cell: 32 occurrences each
+    rng = random.Random(1001)
+    literals = ["%d.%03d" % divmod(k, 1000) for k in range(1001)]
+    doc = {"parameters": [f"e{k + 1}" for k in range(8)],
+           "universe": [f"u{k + 1}" for k in range(1001)],
+           "cells": [[dict.fromkeys(("t", "i", "f", "mu"), t)
+                      for t in rng.sample(literals, len(literals))] for _ in range(8)]}
+    memoized, calls, plain = loaded_twice(monkeypatch, load, text, doc)
+    assert len(calls) == 1001 and set(calls.values()) == {1}
+    assert memoized == plain and degrees(memoized) == degrees(plain)
+
+
+@pytest.mark.parametrize("hits", [0, 511, 512])
+def test_the_literal_memo_keeps_literals_up_to_its_cap(monkeypatch, hits):
+    # how often the first literal recurred changes nothing
     calls = counting(monkeypatch, pnsoft.jsonio, "parse_decimal", str)
     parse = pnsoft.jsonio._literal_parser()
     first = parse("0.5")
     for _ in range(hits):
         assert parse("0.5") is first
-    distinct = ["0.%06d" % k for k in range(probe + 10)]  # "0.5" is the first distinct
+    distinct = ["0.%06d" % k for k in range(MEMO_CAP + 10)]  # "0.5" is the first distinct
     values = [parse(t) for t in distinct]
     again = [parse(t) for t in distinct]
     assert again == values == [Fraction(t) for t in distinct]
     assert calls["0.5"] == 1
-    if steps_aside:  # from the probe's last literal on, each parse is fresh
-        assert calls[distinct[0]] == 2 and calls[distinct[-1]] == 2
-        assert again[-1] is not values[-1]
-    else:
-        assert max(calls.values()) == 1
-        assert all(a is b for a, b in zip(again, values))
+    kept = MEMO_CAP - 1  # literals of `distinct` that fit beside "0.5"
+    assert all(calls[t] == 1 for t in distinct[:kept])
+    assert all(a is b for a, b in zip(again[:kept], values))
+    # past the cap, a new literal is parsed each time it occurs
+    assert all(calls[t] == 2 for t in distinct[kept:])
+    assert all(a is not b for a, b in zip(again[kept:], values[kept:]))
 
 
 def test_a_render_leaves_no_reference_cycle():

@@ -165,6 +165,15 @@ CELL_FORMS = {
 }
 
 
+class _Degree(Fraction):
+    pass
+
+
+#: one cell of Fraction-subclass degrees, which the boundary turns into
+#: exact Fractions of the same value
+SUBCLASS_CELLS = RAW_CELLS + ((_Degree(1, 2), _Degree(0), _Degree(1), _Degree(3, 4)),)
+
+
 def raw_set(form, cells=RAW_CELLS):
     return PnsSet.from_rows(["e1", "e2"], [f"u{j}" for j in range(len(cells))],
                             [[CELL_FORMS[form](c) for c in cells]] * 2)
@@ -174,6 +183,8 @@ def exact_builders():
     """(id, zero-argument builder) for every public way to make a set."""
     f, g = raw_set("sequence"), raw_set("sequence", RAW_CELLS[::-1])
     builders = [(f"from_rows-{form}", lambda form=form: raw_set(form)) for form in CELL_FORMS]
+    builders += [(f"from_rows-{form}-subclass", lambda form=form: raw_set(form, SUBCLASS_CELLS))
+                 for form in CELL_FORMS]
     builders += [
         ("loads_pns", lambda: loads_pns(json.dumps(
             {"parameters": ["e1"], "universe": ["u1", "u2"],

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import importlib
 import pickle
+import random
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -252,6 +253,81 @@ class TestIntegerKernel:
         assert got == outcome(longhand_possibility_similarity, f, g)
         assert got == ("DegenerateRowError",
                        "parameter 'e2': all possibility degrees are zero in both sets")
+
+
+#: primes in [2**60, 2**61)
+PRIMES_61 = (2**61 - 1, 2305843009213693921, 2305843009213693907, 2305843009213693723,
+             2305843009213693693, 2305843009213693669, 2305843009213693613,
+             2305843009213693561)
+#: the denominators each kind of row draws its degrees over, and whether
+#: the row is kept as int numerators over one lcm of at most 64 bits
+ROW_KINDS = {
+    "two decimals": ((100,), True),
+    "six decimals": ((10**6,), True),
+    "two and six decimals": ((100, 10**6), True),
+    "one prime": ((PRIMES_61[0],), True),                   # a 61-bit lcm
+    "eighths and one prime": ((8, PRIMES_61[1]), True),     # 64 bits
+    "sixteenths and one prime": ((16, PRIMES_61[1]), False),  # 65 bits
+    "decimals and one prime": ((100, 10**6, PRIMES_61[2]), False),
+    "primes": (PRIMES_61, False),
+}
+
+
+def kinds_set(rng, kinds, n_elems):
+    """One row of each kind in `kinds`, each degree k/q with q drawn from
+    the kind's denominators."""
+    def degree(denominators):
+        q = rng.choice(denominators)
+        return Fraction(rng.randint(0, q), q)
+    return PnsSet.from_rows(
+        [f"e{k + 1}" for k in range(len(kinds))], [f"u{j + 1}" for j in range(n_elems)],
+        [[tuple(degree(ROW_KINDS[kind][0]) for _ in range(4)) for _ in range(n_elems)]
+         for kind in kinds])
+
+
+def row_forms(s, key):
+    """For each row the measure keeps on `s`, whether it is an int list."""
+    return [den is not None for den, _, _ in s.__dict__[key]]
+
+
+class TestRowForms:
+    """Rows kept as int lists over one denominator and rows kept as int
+    pairs per cell give what Fraction arithmetic gives, alone and against
+    each other."""
+
+    @pytest.fixture(scope="class", params=["shuffled kinds", "decimal against primes"])
+    def pair(self, request):
+        rng = random.Random(f"row forms/{request.param}")
+        kinds = list(ROW_KINDS)
+        # three elements: at p = 1000 a pair of rows over distinct primes
+        # takes up to a second
+        if request.param == "shuffled kinds":
+            f = kinds_set(rng, kinds, 3)
+            g = kinds_set(rng, rng.sample(kinds, len(kinds)), 3)
+        else:
+            f = kinds_set(rng, ["two and six decimals"] * 2, 3)
+            g = kinds_set(rng, ["primes"] * 2, 3)
+        return f, g
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 10, MAX_ORDER])
+    def test_value_factor_equals_the_fraction_longhand(self, pair, p):
+        f, g = pair
+        assert repr(value_similarity(f, g, p)) == repr(longhand_value_similarity(f, g, p))
+
+    def test_possibility_factor_equals_the_fraction_longhand(self, pair):
+        f, g = pair
+        assert repr(possibility_similarity(f, g)) == repr(longhand_possibility_similarity(f, g))
+
+    def test_each_kind_of_row_is_kept_in_its_form(self):
+        s = kinds_set(random.Random("row forms"), list(ROW_KINDS), 4)
+        similarity(s, s)
+        want = [int_list for _, int_list in ROW_KINDS.values()]
+        assert row_forms(s, "_phi3_rows") == row_forms(s, "_mu_rows") == want
+
+    def test_no_row_over_prime_denominators_is_an_int_list(self):
+        s = kinds_set(random.Random("primes"), ["primes"] * 10, 100)
+        similarity(s, s, p=1)
+        assert not any(row_forms(s, "_phi3_rows") + row_forms(s, "_mu_rows"))
 
 
 class TestSimilarity:
