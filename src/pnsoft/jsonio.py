@@ -148,6 +148,7 @@ def _memoized(number):
 _CELL = '{"t": %s, "i": %s, "f": %s, "mu": %s}'
 _CONSTANTS = {True: "true", False: "false", None: "null"}
 _CONTAINERS = frozenset({list, tuple, dict, PnsSet})
+_NUMBERS = frozenset({Fraction, float})
 
 
 def _rows(s: PnsSet, number):
@@ -197,8 +198,11 @@ def _chunks(obj, number):
     if kind is list or kind is tuple:
         if not obj or type(obj[0]) not in _CONTAINERS:
             # frames go through %: "[%s]" % text copies text once,
-            # "[" + text + "]" twice
-            yield "[%s]" % ", ".join(map(_text, obj, repeat(number)))
+            # "[" + text + "]" twice; a row of numbers needs no dispatch
+            if _NUMBERS.issuperset(map(type, obj)):
+                yield "[%s]" % ", ".join(map(number, obj))
+            else:
+                yield "[%s]" % ", ".join(map(_text, obj, repeat(number)))
             return
         yield "["
         for n, item in enumerate(obj):

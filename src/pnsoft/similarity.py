@@ -18,7 +18,7 @@ from math import lcm
 from operator import mul, sub
 
 from .errors import DegenerateRowError, PnsError, _plain
-from .sets import PnsSet, _require_same_labels
+from .sets import _ROW_BITS, PnsSet, _require_same_labels
 from .algebra import NeutrosophicTriple, as_unit
 
 
@@ -57,19 +57,12 @@ def _mu(cell):
     return cell.mu._numerator, cell.mu._denominator
 
 
-#: A row is kept as int numerators over one common denominator when that
-#: denominator, the lcm of the row's own, has at most this many bits. Over
-#: distinct 61-bit primes it has thousands of bits, and two such 20x200 sets
-#: compared as int lists took 18.9 s and 51 MB more memory at p = 2, against
-#: 3.1 s per cell pair (10x100 at p = 10: 12.5 s against 4.2 s).
-_ROW_BITS = 64
-
-
 def _row(pairs):
     """A row of (numerator, denominator) int pairs as (L, numerators, pairs).
 
     L is the lcm of the denominators and the numerators are the row's
-    values as ints over L, both None when L has more than _ROW_BITS bits.
+    values as ints over L, both None when L has more than `sets._ROW_BITS`
+    bits.
     """
     pairs = tuple(pairs)
     den = 1

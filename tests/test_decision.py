@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 from pnsoft import (
     IncompatibleError,
     PnsSet,
+    ProductPnsSet,
     and_product,
     decide,
     decision_scores,
+    or_product,
     row_scores,
     weighted_matrices,
 )
+from pnsoft import decision, sets
 
 from _reference import brute_decide
 from conftest import load_fixture, mixed_pairs
@@ -124,6 +129,20 @@ class TestRowScores:
         assert scores == longhand_row_scores(rows)
         assert all(type(x) is Fraction for x in scores)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([], "at least one row"),
+        ([(Fraction(1, 2), Fraction(1, 3)), (Fraction(1),)], "row 1 has 1 entries, row 0 has 2"),
+        ([(Fraction(1),), (Fraction(1, 2), Fraction(1, 3))], "row 1 has 2 entries, row 0 has 1"),
+        ([(1, 2), (3,)], "row 1 has 1 entries, row 0 has 2"),
+        ([(1,), (2, 3)], "row 1 has 2 entries, row 0 has 1"),
+        ([()], "row 0 is empty"),
+    ], ids=["no-rows", "fraction-shorter", "fraction-longer", "int-shorter",
+            "int-longer", "empty-row"])
+    def test_no_rows_an_empty_row_or_ragged_rows_are_refused(self, rows, message):
+        for given in (rows, iter(rows)):
+            with pytest.raises(IncompatibleError, match=message):
+                row_scores(given)
+
     def test_score_difference(self):
         assert decision_scores((1, 2), (0, 1), (1, 0)) == (0, 1)
         with pytest.raises(IncompatibleError, match="equal length"):
@@ -181,6 +200,113 @@ class TestDecide:
     @given(pair=mixed_pairs())
     def test_mixed_denominators_match_the_longhand_oracle(self, pair):
         assert_matches_oracle(*pair)
+
+
+#: 2**61 - 1 and the largest prime below it: each is 61 bits
+P61, Q61 = 2**61 - 1, 2305843009213693921
+
+
+def seeded_pair(seed, denominators, shape=((3, 2), 6)):
+    """Two sets over one universe whose degrees are k/q, q drawn from
+    `denominators`. Each degree is a Fraction of its own, so equal values
+    tie as distinct objects."""
+    rng = random.Random(f"{seed}/{denominators}")
+    (f_params, g_params), elems = shape
+    universe = [f"u{j + 1}" for j in range(elems)]
+
+    def one_set(count):
+        rows = [[tuple(Fraction(rng.randint(0, q), q)
+                       for q in rng.choices(denominators, k=4))
+                 for _ in universe] for _ in range(count)]
+        return PnsSet.from_rows([f"e{k + 1}" for k in range(count)], universe, rows)
+
+    return one_set(f_params), one_set(g_params)
+
+
+def on_cells(fn, *args):
+    """`fn(*args)` with every product built cell by cell: no lcm has at most
+    0 bits, so none keeps int rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sets, "_ROW_BITS", 0)
+        return fn(*args)
+
+
+def hand_built(p):
+    return ProductPnsSet(pairs=p.pairs, universe=p.universe, cells=p.cells)
+
+
+class TestIntRows:
+    """`decide` on int rows reports what it reports cell by cell."""
+
+    PAIRS = {
+        "two-decimal": ((100,), True),
+        "six-decimal": ((10**6,), True),
+        "mixed-decimal": ((2, 4, 5, 10, 20, 100, 1000, 10**6), True),
+        "61-bit-primes": ((P61, Q61), False),
+    }
+
+    @pytest.mark.parametrize("kind", PAIRS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_report_matches_the_cell_by_cell_report(self, kind, seed):
+        denominators, on_ints = self.PAIRS[kind]
+        f, g = seeded_pair(seed, denominators)
+        for first, second in ((f, g), (g, f)):
+            assert ("_int_rows" in vars(and_product(first, second))) is on_ints
+            assert repr(decide(first, second)) == repr(on_cells(decide, first, second))
+
+    def test_a_hand_built_product_is_scored_from_its_cells(self, monkeypatch):
+        f, g = seeded_pair(0, (4, 100))
+        p = and_product(f, g)
+        assert "_int_rows" in vars(p) and "_int_rows" not in vars(hand_built(p))
+        assert weighted_matrices(hand_built(p)) == weighted_matrices(p)
+        expected = repr(decide(f, g))
+        monkeypatch.setattr(decision, "and_product",
+                            lambda f, g: hand_built(and_product(f, g)))
+        assert repr(decide(f, g)) == expected
+
+    @pytest.mark.parametrize("product", [and_product, or_product])
+    @pytest.mark.parametrize("denominators", [(4,), (100,)], ids=["quarters", "two-decimal"])
+    def test_cells_reuse_the_degrees_the_norms_pick(self, product, denominators):
+        # quarters tie often: the lower pick keeps f's degree, the higher g's
+        f, g = seeded_pair(1, denominators, shape=((3, 4), 8))
+        for first, second in ((f, g), (g, f)):
+            p = product(first, second)
+            assert "_int_rows" in vars(p)
+            q = on_cells(product, first, second)
+            assert p == q
+            for row, twin in zip(p.cells, q.cells):
+                for cell, other in zip(row, twin):
+                    assert cell.truth is other.truth
+                    assert cell.indeterminacy is other.indeterminacy
+                    assert cell.falsity is other.falsity
+                    assert cell.mu is other.mu
+
+    @pytest.mark.parametrize("step, on_ints", [(8, True), (16, False)],
+                             ids=["eighths-64-bits", "sixteenths-65-bits"])
+    def test_the_guard_admits_a_common_denominator_of_64_bits(self, step, on_ints):
+        f, g = seeded_pair(2, (step,))
+        rows = [list(row) for row in f.cells]
+        rows[0][0] = (Fraction(1, P61), 0, 0, 1)
+        f = PnsSet.from_rows(f.parameters, f.universe, rows)
+        p = and_product(f, g)
+        if on_ints:
+            assert vars(p)["_int_rows"][0] == step * P61
+            assert (step * P61).bit_length() == 64
+        else:
+            assert "_int_rows" not in vars(p)
+            assert (step * P61).bit_length() == 65
+        assert repr(decide(f, g)) == repr(on_cells(decide, f, g))
+
+    def test_kept_rows_are_neither_pickled_nor_copied(self):
+        f, g = seeded_pair(0, (100,))
+        report = decide(f, g)
+        assert "_int_rows" in vars(report.product)
+        for original in (report.product, f, g):
+            for twin in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original),
+                         copy.copy(original)):
+                assert twin == original
+                assert not [key for key in vars(twin) if key.startswith("_")]
+        assert pickle.loads(pickle.dumps(report)) == report
 
 
 def longhand_row_scores(rows):

@@ -18,7 +18,7 @@ from pnsoft import (
     loads_pns,
     save_pns,
 )
-from pnsoft.jsonio import _decimal_scale, dumps_pns
+from pnsoft.jsonio import _chunks, _decimal_scale, _text, dumps_pns
 
 from conftest import FIXTURES, load_fixture
 
@@ -132,6 +132,23 @@ class TestJsonRoundTrip:
         out = tmp_path / "copy.json"
         save_pns(s, out)
         assert load_pns(out) == s
+
+    @pytest.mark.parametrize("row", [
+        (Fraction(1, 2), Fraction(3, 4), 0.25),
+        [Fraction(1, 3), 1, Fraction(0)],
+        (Fraction(1, 2), "u1", True, None, 0.5),
+        (0.125,),
+    ], ids=["numbers", "an-int", "labels-and-constants", "one-float"])
+    def test_a_flat_row_renders_each_item_as_on_its_own(self, row):
+        calls = []
+
+        def number(x):
+            calls.append(x)
+            return decimal_string(x)
+
+        expected = "[%s]" % ", ".join(_text(x, decimal_string) for x in row)
+        assert "".join(_chunks(row, number)) == expected
+        assert calls == [x for x in row if type(x) in (Fraction, float)]
 
     def test_serialization_is_deterministic(self):
         s = load_fixture("cars_assessment_b.json")
