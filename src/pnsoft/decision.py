@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import add, mul, sub
+from itertools import repeat
+from operator import add, getitem, le, mul, sub
 
 from .errors import IncompatibleError
 from .sets import PnsSet, ProductPnsSet, and_product
@@ -52,31 +52,14 @@ class _Entries(dict):
         return value
 
 
-def _blend(t, m, den):
-    """Numerators over den² of t + m - t*m, from numerators t and m over den:
-    den*(t + m) - t*m."""
-    return list(map(sub, map(mul, map(add, t, m), repeat(den)), map(mul, t, m)))
+def _lower(x, y):
+    """The lower int of each pair, as a list."""
+    return list(map(getitem, zip(y, x), map(le, x, y)))
 
 
-def _scaled(x, m):
-    """Numerators over den² of x*m, from numerators x and m over den."""
-    return list(map(mul, x, m))
-
-
-def _int_matrices(p: ProductPnsSet):
-    """(L², truth rows, indeterminacy rows, falsity rows): the weighted
-    matrices as int numerators over L², for a product that keeps int rows
-    over L (see `sets._int_product`); None for any other product.
-
-    Each row is a list made when it is asked for, so no more than one row
-    of numerators per matrix is alive at a time.
-    """
-    kept = vars(p).get("_int_rows")
-    if kept is None:
-        return None
-    den, truth, indeterminacy, falsity, mu = kept
-    return (den * den, map(_blend, truth, mu, repeat(den)),
-            map(_scaled, indeterminacy, mu), map(_scaled, falsity, mu))
+def _higher(x, y):
+    """The higher int of each pair."""
+    return map(getitem, zip(x, y), map(le, x, y))
 
 
 def weighted_matrices(p: ProductPnsSet):
@@ -87,18 +70,28 @@ def weighted_matrices(p: ProductPnsSet):
     t + m - t*m so high possibility lifts the entry toward 1;
     indeterminacy and falsity just scale by m.
 
-    A product that keeps int rows over one denominator L has every entry
-    computed as an int numerator over L², and each distinct numerator
-    becomes one Fraction, which all equal entries of the three matrices
-    share. Any other product reads each cell's Fraction slots, and the
-    entries of one (degree, possibility) pair share one Fraction; equal
-    values of other pairs may get their own.
+    An AND product that keeps its operands' int rows over one denominator
+    L (see `sets.and_product`) has each pair row's degrees picked again
+    from those ints, and every entry computed as an int numerator over L²:
+    L*(t + m) - t*m for truth, i*m and f*m for the others. Each distinct
+    numerator becomes one Fraction, which all equal entries of the three
+    matrices share. Any other product reads each cell's Fraction slots,
+    and the entries of one (degree, possibility) pair share one Fraction;
+    equal values of other pairs may get their own.
     """
-    ints = _int_matrices(p)
-    if ints is not None:
-        den, *matrices = ints
-        entry = _Entries(den).__getitem__
-        return tuple(tuple(tuple(map(entry, row)) for row in rows) for rows in matrices)
+    kept = vars(p).get("_int_operands")
+    if kept is not None:
+        den, f_rows, g_rows = kept
+        entry = _Entries(den * den).__getitem__
+        wt, wi, wf = [], [], []
+        for ft, fi, ff, fm in f_rows:
+            for gt, gi, gf, gm in g_rows:
+                t, m = _lower(ft, gt), _lower(fm, gm)
+                wt.append(tuple(map(entry, map(
+                    sub, map(mul, map(add, t, m), repeat(den)), map(mul, t, m)))))
+                wi.append(tuple(map(entry, map(mul, _higher(fi, gi), m))))
+                wf.append(tuple(map(entry, map(mul, _higher(ff, gf), m))))
+        return tuple(wt), tuple(wi), tuple(wf)
     blended, scaled = {}, {}   # (numerators, denominators) -> shared Fraction
     wt, wi, wf = [], [], []
     for row in p.cells:
@@ -131,51 +124,39 @@ def weighted_matrices(p: ProductPnsSet):
 def row_scores(rows) -> tuple:
     """Per element sum of the row maxima it attains.
 
-    `rows` is a non-empty iterable of equal-length rows of rationals
+    `rows` is a non-empty sequence of equal-length rows of rationals
     (`Fraction` or `int`), one entry per element. In each row, every
     column whose entry equals the row maximum adds that entry to the
     column's score. Ties all count; comparison is exact. Every score is a
     Fraction, an all-zero column's too. No rows, an empty row or rows of
     unequal length raise IncompatibleError.
 
-    A row that starts with an int is scored with `max`, `count` and
-    `index`, in C for a row of ints. Any other row has its maximum picked
-    by cross-multiplying (numerator, denominator) pairs, read from a
-    Fraction's slots. Each column sums its credited numerators per
-    denominator, and each sum becomes one Fraction.
+    The work is on integers: the maximum is picked by cross-multiplying
+    (numerator, denominator) pairs, read from a Fraction's slots and from
+    any other rational's properties, each column sums its credited
+    numerators per denominator, and each sum becomes one Fraction.
     """
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
+    if not rows:
         raise IncompatibleError("row scores need at least one row")
-    width = len(first)
+    width = len(rows[0])
     if not width:
         raise IncompatibleError("row 0 is empty")
     sums = [{} for _ in range(width)]   # per column: denominator -> numerator sum
-    for r, row in enumerate(chain((first,), rows)):
+    for r, row in enumerate(rows):
         if len(row) != width:
             raise IncompatibleError(
                 f"row {r} has {len(row)} entries, row 0 has {width}")
-        if type(row[0]) is int:
-            best = max(row)
-            top, under = best.numerator, best.denominator
-            j = row.index(best)
-            at = [j]
-            for _ in range(row.count(best) - 1):
-                j = row.index(best, j + 1)
+        top, under, at = row[0].numerator, row[0].denominator, []
+        for j, value in enumerate(row):
+            if type(value) is Fraction:
+                n, d = value._numerator, value._denominator
+            else:   # an int, or another rational
+                n, d = value.numerator, value.denominator
+            ahead = n * under - top * d   # denominators are positive
+            if ahead > 0:
+                top, under, at = n, d, [j]
+            elif ahead == 0:
                 at.append(j)
-        else:
-            top, under, at = row[0].numerator, row[0].denominator, []
-            for j, value in enumerate(row):
-                if type(value) is Fraction:
-                    n, d = value._numerator, value._denominator
-                else:   # an int, or another rational
-                    n, d = value.numerator, value.denominator
-                ahead = n * under - top * d   # denominators are positive
-                if ahead > 0:
-                    top, under, at = n, d, [j]
-                elif ahead == 0:
-                    at.append(j)
         for j in at:
             column = sums[j]
             column[under] = column.get(under, 0) + top
@@ -195,13 +176,9 @@ def decide(f: PnsSet, g: PnsSet) -> DecisionReport:
     """Run the full pipeline on two observations of the same universe."""
     product = and_product(f, g)
     wt, wi, wf = weighted_matrices(product)
-    # int rows are scored as numerators over one denominator, then divided by it
-    den, rt, ri, rf = _int_matrices(product) or (1, wt, wi, wf)
-    st = row_scores(rt)
-    si = row_scores(ri)
-    sf = row_scores(rf)
-    if den != 1:
-        st, si, sf = (tuple(s / den for s in scores) for scores in (st, si, sf))
+    st = row_scores(wt)
+    si = row_scores(wi)
+    sf = row_scores(wf)
     ds = decision_scores(st, si, sf)
     order = sorted(range(len(ds)), key=lambda j: (-ds[j], j))
     ranking = tuple(product.universe[j] for j in order)

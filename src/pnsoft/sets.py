@@ -58,6 +58,12 @@ class PossValue:
         return NeutrosophicTriple(self.truth, self.indeterminacy, self.falsity)
 
 
+def _public_state(self):
+    """`vars(self)` without the private `_` entries a set or a product keeps
+    for speed: pickles and copies leave them out, and readers rebuild them."""
+    return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+
+
 @dataclass(frozen=True)
 class PnsSet:
     """Labeled matrix of PossValue, one row per parameter, one column per element.
@@ -130,8 +136,7 @@ class PnsSet:
     def shape(self):
         return (len(self.parameters), len(self.universe))
 
-    def __getstate__(self):  # private rows kept on the set are rebuilt, not pickled
-        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+    __getstate__ = _public_state
 
 
 def _texts(what, labels):
@@ -333,8 +338,7 @@ class ProductPnsSet:
     def shape(self):
         return (len(self.pairs), len(self.universe))
 
-    def __getstate__(self):  # the int rows a product keeps are not pickled
-        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+    __getstate__ = _public_state
 
 
 #: Int numerators over one common denominator stand in for a row of
@@ -343,7 +347,7 @@ class ProductPnsSet:
 #: lcm has thousands of bits: two such 20x200 sets compared as int lists
 #: took 18.9 s and 51 MB more memory at p = 2 against 3.1 s per cell pair
 #: (10x100 at p = 10: 12.5 s against 4.2 s). The similarity measure's rows
-#: and the int rows of a product both obey it.
+#: and the int rows of the products' operands both obey it.
 _ROW_BITS = 64
 
 
@@ -355,13 +359,14 @@ def _require_same_universe(f: PnsSet, g: PnsSet):
 
 
 def _product(f, g, lower_truth):
-    """Row (p, q) combines row p of f with row q of g, cell by cell.
+    """(product, int rows): row (p, q) combines row p of f with row q of g.
 
     With `lower_truth` each cell takes the lower truth and possibility
     degree and the higher indeterminacy and falsity (the AND product),
     else the reverse (the OR product). A lower pick keeps f's degree on a
     tie and a higher pick g's, as `tnorm_min` and `tconorm_max` do. The
-    product keeps its int rows (see `_int_product`) when they exist.
+    int rows are the operands' (see `_int_product`), None where the cells
+    were combined one by one.
     """
     _require_same_universe(f, g)
     pairs = tuple((fp, gp) for fp in f.parameters for gp in g.parameters)
@@ -371,10 +376,7 @@ def _product(f, g, lower_truth):
                               else (tconorm_max, tnorm_min))
         rows = tuple(_combined(fr, gr, on_truth, on_other)
                      for fr in f.cells for gr in g.cells)
-    product = ProductPnsSet(pairs=pairs, universe=f.universe, cells=rows)
-    if ints is not None:
-        product.__dict__["_int_rows"] = ints
-    return product
+    return ProductPnsSet(pairs=pairs, universe=f.universe, cells=rows), ints
 
 
 _degrees = attrgetter("truth", "indeterminacy", "falsity", "mu")
@@ -389,17 +391,17 @@ def _columns(row):
 
 
 def _int_product(f, g, lower_truth):
-    """The product's rows of cells and its int rows, or (None, None).
+    """The product's rows of cells and the operands' int rows, or (None, None).
 
     Every degree of both operands is read as an int numerator over L, the
     lcm of all their denominators. Each degree of a pair row is picked
-    from those ints: `map(le, ...)` gives one selection list per degree,
-    and `map(getitem, zip(...))` applies it to the two operands' ints and
-    to their Fractions alike, so each cell reuses an operand's degree, the
-    same object the norm would return. The int rows are (L, truth,
-    indeterminacy, falsity, possibility), each one list of numerators per
-    pair row. (None, None) when L has more than _ROW_BITS bits, or a
-    degree is not a Fraction: a hand-built set may hold anything.
+    through those ints: `map(le, ...)` selects, and `map(getitem,
+    zip(...))` applies the selection to the two operands' Fractions, so
+    each cell reuses an operand's degree, the same object the norm would
+    return. The int rows are (L, f's rows, g's rows), each row its truth,
+    indeterminacy, falsity and possibility numerators as four lists.
+    (None, None) when L has more than _ROW_BITS bits, or a degree is not
+    a Fraction: a hand-built set may hold anything.
     """
     try:
         f_rows = [_columns(row) for row in f.cells]
@@ -419,30 +421,32 @@ def _int_product(f, g, lower_truth):
           for degree in row] for row in rows]
         for rows in (f_rows, g_rows))
     lower = (lower_truth, not lower_truth, not lower_truth, lower_truth)
-    cells, picked = [], ([], [], [], [])
+    cells = []
     for fr, fi in zip(f_rows, f_ints):
         for gr, gi in zip(g_rows, g_ints):
-            degrees = []
-            for a, b, x, y, low, kept in zip(fr, gr, fi, gi, lower, picked):
-                chosen = list(map(le, x, y))   # True where f's degree is at most g's
-                if low:
-                    kept.append(list(map(getitem, zip(y, x), chosen)))
-                    degrees.append(map(getitem, zip(b, a), chosen))
-                else:
-                    kept.append(list(map(getitem, zip(x, y), chosen)))
-                    degrees.append(map(getitem, zip(a, b), chosen))
-            cells.append(_trusted_row(len(chosen), *degrees))
-    return tuple(cells), (den, *map(tuple, picked))
+            degrees = [   # le is True where f's degree is at most g's
+                map(getitem, zip(b, a) if low else zip(a, b), map(le, x, y))
+                for a, b, x, y, low in zip(fr, gr, fi, gi, lower)]
+            cells.append(_trusted_row(min(len(fi[0]), len(gi[0])), *degrees))  # zip's length
+    return tuple(cells), (den, f_ints, g_ints)
 
 
 def and_product(f: PnsSet, g: PnsSet) -> ProductPnsSet:
-    """Pessimistic combination: min truth, max indeterminacy and falsity, min mu."""
-    return _product(f, g, lower_truth=True)
+    """Pessimistic combination: min truth, max indeterminacy and falsity, min mu.
+
+    The product keeps its operands' int rows, when they exist, in its
+    instance dict under `_int_operands`: `decision.weighted_matrices`
+    reads them.
+    """
+    product, ints = _product(f, g, lower_truth=True)
+    if ints is not None:
+        product.__dict__["_int_operands"] = ints
+    return product
 
 
 def or_product(f: PnsSet, g: PnsSet) -> ProductPnsSet:
     """Optimistic combination: max truth, min indeterminacy and falsity, max mu."""
-    return _product(f, g, lower_truth=False)
+    return _product(f, g, lower_truth=False)[0]
 
 
 def to_pns_set(p: ProductPnsSet, separator: str = "*") -> PnsSet:
