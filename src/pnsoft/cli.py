@@ -21,7 +21,7 @@ from pathlib import Path
 from .algebra import TCONORMS, TNORMS, as_unit, make_profile
 from .decision import decide
 from .errors import PnsError, SchemaError, _cut, _escaped, _plain
-from .jsonio import _chunks, _memoized, decimal_string, load_any
+from .jsonio import _chunks, _decimal_scale, _memoized, decimal_string, load_any
 from .sets import and_product, complement, intersection, or_product, to_pns_set, union
 from .similarity import MAX_ORDER, select_by_similarity, similarity
 
@@ -46,10 +46,15 @@ def _six_decimals(x) -> str:
 
 
 def _num(x) -> str:
-    """Table text of a number: exact when short, else four decimals."""
+    """Table text of a number: exact when short, else four decimals. A
+    denominator of twos and fives that does not divide 10**6 needs seven
+    places or more, so its long exact text is never built."""
     if isinstance(x, Fraction):
-        text = decimal_string(x)
-        return text if len(text) <= 8 else "%.4f" % float(x)
+        d = x._denominator
+        if not 1_000_000 % d or _decimal_scale(d) is None:
+            text = decimal_string(x)
+            if len(text) <= 8:
+                return text
     return "%.4f" % float(x)
 
 

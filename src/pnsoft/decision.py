@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import add, getitem, le, mul, sub
+from operator import add, mul, sub
 
 from .errors import IncompatibleError
-from .sets import PnsSet, ProductPnsSet, and_product
+from .sets import PnsSet, ProductPnsSet, _pick, and_product
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,6 @@ class _Entries(dict):
         return value
 
 
-def _lower(x, y):
-    """The lower int of each pair, as a list."""
-    return list(map(getitem, zip(y, x), map(le, x, y)))
-
-
-def _higher(x, y):
-    """The higher int of each pair."""
-    return map(getitem, zip(x, y), map(le, x, y))
-
-
 def weighted_matrices(p: ProductPnsSet):
     """Blend each component with the cell possibility m.
 
@@ -72,12 +62,12 @@ def weighted_matrices(p: ProductPnsSet):
 
     An AND product that keeps its operands' int rows over one denominator
     L (see `sets.and_product`) has each pair row's degrees picked again
-    from those ints, and every entry computed as an int numerator over L²:
-    L*(t + m) - t*m for truth, i*m and f*m for the others. Each distinct
-    numerator becomes one Fraction, which all equal entries of the three
-    matrices share. Any other product reads each cell's Fraction slots,
-    and the entries of one (degree, possibility) pair share one Fraction;
-    equal values of other pairs may get their own.
+    from those ints (`sets._pick`), and every entry computed as an int
+    numerator over L²: L*(t + m) - t*m for truth, i*m and f*m for the
+    others. Each distinct numerator becomes one Fraction, which all equal
+    entries of the three matrices share. Any other product reads each
+    cell's Fraction slots, and the entries of one (degree, possibility)
+    pair share one Fraction; equal values of other pairs may get their own.
     """
     kept = vars(p).get("_int_operands")
     if kept is not None:
@@ -86,11 +76,11 @@ def weighted_matrices(p: ProductPnsSet):
         wt, wi, wf = [], [], []
         for ft, fi, ff, fm in f_rows:
             for gt, gi, gf, gm in g_rows:
-                t, m = _lower(ft, gt), _lower(fm, gm)
+                t, m = list(_pick(True, ft, gt, ft, gt)), list(_pick(True, fm, gm, fm, gm))
                 wt.append(tuple(map(entry, map(
                     sub, map(mul, map(add, t, m), repeat(den)), map(mul, t, m)))))
-                wi.append(tuple(map(entry, map(mul, _higher(fi, gi), m))))
-                wf.append(tuple(map(entry, map(mul, _higher(ff, gf), m))))
+                wi.append(tuple(map(entry, map(mul, _pick(False, fi, gi, fi, gi), m))))
+                wf.append(tuple(map(entry, map(mul, _pick(False, ff, gf, ff, gf), m))))
         return tuple(wt), tuple(wi), tuple(wf)
     blended, scaled = {}, {}   # (numerators, denominators) -> shared Fraction
     wt, wi, wf = [], [], []

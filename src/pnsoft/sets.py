@@ -16,9 +16,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
-from operator import attrgetter, getitem, le, mul
+from operator import add, attrgetter, getitem, itemgetter, le, mul
 
 from .algebra import (
     DEFAULT_PROFILE,
@@ -341,14 +341,89 @@ class ProductPnsSet:
     __getstate__ = _public_state
 
 
-#: Int numerators over one common denominator stand in for a row of
-#: Fractions only while that denominator, an lcm, has at most this many
-#: bits; past it, each cell keeps its own. Over distinct 61-bit primes the
-#: lcm has thousands of bits: two such 20x200 sets compared as int lists
-#: took 18.9 s and 51 MB more memory at p = 2 against 3.1 s per cell pair
-#: (10x100 at p = 10: 12.5 s against 4.2 s). The similarity measure's rows
-#: and the int rows of the products' operands both obey it.
+#: A set's int view (see `_view`) exists only while its common
+#: denominator, an lcm, has at most this many bits; past it, each cell
+#: keeps its own. Over distinct 61-bit primes the lcm has thousands of
+#: bits: two such 20x200 sets compared as int lists took 18.9 s and 51 MB
+#: more memory at p = 2 against 3.1 s per cell pair (10x100 at p = 10:
+#: 12.5 s against 4.2 s).
 _ROW_BITS = 64
+
+_degrees = attrgetter("truth", "indeterminacy", "falsity", "mu")
+_numerator = attrgetter("_numerator")
+_denominator = attrgetter("_denominator")
+
+
+def _view(s: PnsSet):
+    """The int view of a set, (L, rows), or None past the guard or for a
+    degree that is not a Fraction. L is the lcm of every denominator of
+    the set; each row is five int lists over L, the t, i, f and mu
+    numerators of its cells and their sums t + i + f. Kept in the
+    immutable set's instance dict, so a set is read once."""
+    try:
+        return s.__dict__["_view"]
+    except KeyError:
+        view = s.__dict__["_view"] = _read_view(s.cells)
+        return view
+
+
+def _read_view(cells):
+    """`_view`'s value, read in flat passes over runs of 1, 2, 4, ... rows:
+    a run past the guard ends the reading, so a set over primes costs a
+    row or two, and a decimal set a handful of passes."""
+    den, distinct, degrees, denominators = 1, set(), [], []
+    start = 0
+    while start < len(cells):
+        stop = 2 * start + 1
+        try:
+            run = list(chain.from_iterable(map(_degrees, chain.from_iterable(cells[start:stop]))))
+            run_denominators = list(map(_denominator, run))
+        except AttributeError:
+            return None
+        for d in set(run_denominators) - distinct:
+            den = lcm(den, d)
+            if den.bit_length() > _ROW_BITS:  # on primes, from the second one on
+                return None
+            distinct.add(d)
+        degrees += run
+        denominators += run_denominators
+        start = stop
+    scale = {d: den // d for d in distinct}.__getitem__
+    ints = list(map(mul, map(_numerator, degrees), map(scale, denominators)))
+    rows, end = [], 0
+    for row in cells:
+        start, end = end, end + 4 * len(row)
+        t, i, f = ints[start:end:4], ints[start + 1:end:4], ints[start + 2:end:4]
+        rows.append((t, i, f, ints[start + 3:end:4], list(map(add, map(add, t, i), f))))
+    return den, rows
+
+
+#: columns of a view's rows: the four degrees, 3 phi (t + i + f), mu
+_DEGREES, _PHI3, _MU = slice(4), slice(4, 5), slice(3, 4)
+
+
+def _joint(f: PnsSet, g: PnsSet, columns=_DEGREES):
+    """(L, f's rows, g's rows): each row's int lists in `columns`, over L,
+    the lcm of the two views' denominators. None when either set has no
+    view. This is the one reader of the views."""
+    f_view, g_view = _view(f), _view(g)
+    if f_view is None or g_view is None:
+        return None
+    den = lcm(f_view[0], g_view[0])
+    rescaled = []
+    for view_den, rows in (f_view, g_view):
+        scale = den // view_den
+        rows = map(itemgetter(columns), rows)
+        rescaled.append(list(rows) if scale == 1 else
+                        [[list(map(mul, xs, repeat(scale))) for xs in row] for row in rows])
+    return den, *rescaled
+
+
+def _pick(lower, a, b, x, y):
+    """Of each pair of a and b, the one whose int in x or y is the lower
+    (`lower` true) or the higher. A lower pick keeps a on a tie and a
+    higher pick b, as `tnorm_min` and `tconorm_max` do."""
+    return map(getitem, zip(b, a) if lower else zip(a, b), map(le, x, y))
 
 
 def _require_same_universe(f: PnsSet, g: PnsSet):
@@ -363,72 +438,34 @@ def _product(f, g, lower_truth):
 
     With `lower_truth` each cell takes the lower truth and possibility
     degree and the higher indeterminacy and falsity (the AND product),
-    else the reverse (the OR product). A lower pick keeps f's degree on a
-    tie and a higher pick g's, as `tnorm_min` and `tconorm_max` do. The
-    int rows are the operands' (see `_int_product`), None where the cells
-    were combined one by one.
+    else the reverse (the OR product). With int views, `_pick` selects
+    each degree through `_joint`'s ints and returns the operand's own
+    Fraction, the object the norm would return. The int rows are
+    `_joint`'s, None where the cells were combined one by one.
     """
     _require_same_universe(f, g)
     pairs = tuple((fp, gp) for fp in f.parameters for gp in g.parameters)
-    rows, ints = _int_product(f, g, lower_truth)
-    if rows is None:
+    ints = _joint(f, g)
+    if ints is None:
         on_truth, on_other = ((tnorm_min, tconorm_max) if lower_truth
                               else (tconorm_max, tnorm_min))
         rows = tuple(_combined(fr, gr, on_truth, on_other)
                      for fr in f.cells for gr in g.cells)
+    else:
+        _, f_ints, g_ints = ints
+        lower = (lower_truth, not lower_truth, not lower_truth, lower_truth)
+        g_rows = [_columns(row) for row in g.cells]
+        rows = tuple(_trusted_row(min(len(fi[0]), len(gi[0])),  # zip's length
+                                  *map(_pick, lower, fr, gr, fi, gi))
+                     for fr, fi in zip(map(_columns, f.cells), f_ints)
+                     for gr, gi in zip(g_rows, g_ints))
     return ProductPnsSet(pairs=pairs, universe=f.universe, cells=rows), ints
-
-
-_degrees = attrgetter("truth", "indeterminacy", "falsity", "mu")
-_numerator = attrgetter("_numerator")
-_denominator = attrgetter("_denominator")
 
 
 def _columns(row):
     """A row of cells as four tuples: its truths, indeterminacies,
     falsities and possibility degrees."""
     return tuple(zip(*map(_degrees, row))) or ((), (), (), ())
-
-
-def _int_product(f, g, lower_truth):
-    """The product's rows of cells and the operands' int rows, or (None, None).
-
-    Every degree of both operands is read as an int numerator over L, the
-    lcm of all their denominators. Each degree of a pair row is picked
-    through those ints: `map(le, ...)` selects, and `map(getitem,
-    zip(...))` applies the selection to the two operands' Fractions, so
-    each cell reuses an operand's degree, the same object the norm would
-    return. The int rows are (L, f's rows, g's rows), each row its truth,
-    indeterminacy, falsity and possibility numerators as four lists.
-    (None, None) when L has more than _ROW_BITS bits, or a degree is not
-    a Fraction: a hand-built set may hold anything.
-    """
-    try:
-        f_rows = [_columns(row) for row in f.cells]
-        g_rows = [_columns(row) for row in g.cells]
-        denominators = {d for row in (*f_rows, *g_rows) for degree in row
-                        for d in map(_denominator, degree)}
-    except AttributeError:
-        return None, None
-    den = 1
-    for d in denominators:
-        den = lcm(den, d)
-        if den.bit_length() > _ROW_BITS:  # on primes, from the second one on
-            return None, None
-    scale = {d: den // d for d in denominators}.__getitem__
-    f_ints, g_ints = (
-        [[list(map(mul, map(_numerator, degree), map(scale, map(_denominator, degree))))
-          for degree in row] for row in rows]
-        for rows in (f_rows, g_rows))
-    lower = (lower_truth, not lower_truth, not lower_truth, lower_truth)
-    cells = []
-    for fr, fi in zip(f_rows, f_ints):
-        for gr, gi in zip(g_rows, g_ints):
-            degrees = [   # le is True where f's degree is at most g's
-                map(getitem, zip(b, a) if low else zip(a, b), map(le, x, y))
-                for a, b, x, y, low in zip(fr, gr, fi, gi, lower)]
-            cells.append(_trusted_row(min(len(fi[0]), len(gi[0])), *degrees))  # zip's length
-    return tuple(cells), (den, f_ints, g_ints)
 
 
 def and_product(f: PnsSet, g: PnsSet) -> ProductPnsSet:

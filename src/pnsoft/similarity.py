@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from operator import mul, sub
+from operator import sub
 
 from .errors import DegenerateRowError, PnsError, _plain
-from .sets import _ROW_BITS, PnsSet, _require_same_labels
+from .sets import _MU, _PHI3, PnsSet, _joint, _require_same_labels
 from .algebra import NeutrosophicTriple, as_unit
 
 
@@ -40,8 +40,8 @@ def _check_p(p):
         raise ValueError(f"p must be an integer in [1, {MAX_ORDER}], got {_plain(p)}")
 
 
-# _phi3 and _mu read the int slots of Fraction, as algebra.tnorm_min does:
-# the public properties cost a call each.
+# The fallbacks read cells through _phi3 and the mu slots, the int slots
+# of Fraction, as algebra.tnorm_min does: the properties cost a call each.
 
 def _phi3(cell):
     """3 * phi of a cell's triple as an int numerator over the lcm of its denominators."""
@@ -52,73 +52,28 @@ def _phi3(cell):
     return tn * (den // td) + in_ * (den // id_) + fn * (den // fd), den
 
 
-def _mu(cell):
-    """A cell's possibility degree as (numerator, denominator) ints."""
-    return cell.mu._numerator, cell.mu._denominator
-
-
-def _row(pairs):
-    """A row of (numerator, denominator) int pairs as (L, numerators, pairs).
-
-    L is the lcm of the denominators and the numerators are the row's
-    values as ints over L, both None when L has more than `sets._ROW_BITS`
-    bits.
-    """
-    pairs = tuple(pairs)
-    den = 1
-    for d in {d for _, d in pairs}:
-        den = lcm(den, d)
-        if den.bit_length() > _ROW_BITS:  # on primes, from the second one on
-            return None, None, pairs
-    return den, [n * (den // d) for n, d in pairs], pairs
-
-
-def _rows(s: PnsSet, key, cell_ints):
-    """The rows of `s`, each cell read once as `cell_ints(cell)`, through `_row`.
-
-    Built on first use and kept in the set's instance dict under `key`: a
-    set is immutable, so they never go stale, and a model compared with a
-    hundred candidates is read once. Equality, hashing, repr, asdict and
-    pickle see the fields only.
-    """
-    rows = s.__dict__.get(key)
-    if rows is None:
-        rows = s.__dict__[key] = tuple(_row(map(cell_ints, row)) for row in s.cells)
-    return rows
-
-
-def _common(f_den, xs, g_den, ys):
-    """Numerators xs over f_den and ys over g_den as numerators over the
-    lcm L of the two denominators: (L, xs over L, ys over L)."""
-    den = lcm(f_den, g_den)
-    if den != f_den:
-        xs = list(map(mul, xs, repeat(den // f_den)))
-    if den != g_den:
-        ys = list(map(mul, ys, repeat(den // g_den)))
-    return den, xs, ys
-
-
 def value_similarity(f: PnsSet, g: PnsSet, p: int = 2):
     """Per parameter Minkowski similarity of the phi profiles over the universe.
 
     Returns (components, mean). Each distance |phi(a) - phi(b)| is an int
-    over 3 times a denominator. Two int-list rows (see `_row`) share one:
-    the lcm of theirs, and the p-th powers of the distances are summed as
-    ints. Any other pair of rows takes one lcm per cell pair, the powers
-    are summed per denominator, and each sum becomes one Fraction. Either
-    way the total is the exact sum of d**p. With p=1 everything stays
-    rational. For p >= 2 the floats start at the root: the exact sum is
-    divided by the p-th power of the exact row maximum, so the float it
-    becomes lies in [1, n] and cannot underflow to 0 however large p is.
+    over 3 times a denominator. Two sets with int views (see
+    `sets._view`) share one: the lcm of theirs, and the p-th powers of
+    the distances are summed as ints. Any other pair of sets takes one lcm
+    per cell pair, the powers are summed per denominator, and each sum
+    becomes one Fraction. Either way the total is the exact sum of d**p.
+    With p=1 everything stays rational. For p >= 2 the floats start at the
+    root: the exact sum is divided by the p-th power of the exact row
+    maximum, so the float it becomes lies in [1, n] and cannot underflow
+    to 0 however large p is.
     """
     _check_p(p)
     _require_same_labels(f, g)
     n = len(f.universe)
+    joint = _joint(f, g, _PHI3)
     components = []
-    for (f_den, xs, f_pairs), (g_den, ys, g_pairs) in zip(_rows(f, "_phi3_rows", _phi3),
-                                                          _rows(g, "_phi3_rows", _phi3)):
-        if f_den and g_den:
-            den, xs, ys = _common(f_den, xs, g_den, ys)
+    for fr, gr in zip(*joint[1:]) if joint else zip(f.cells, g.cells):
+        if joint:
+            den, (xs,), (ys,) = joint[0], fr, gr
             ds = list(map(abs, map(sub, xs, ys)))   # over 3 * den
             if p == 1:
                 m = 1 - Fraction(sum(ds), 3 * den) / n
@@ -129,7 +84,7 @@ def value_similarity(f: PnsSet, g: PnsSet, p: int = 2):
         else:
             sums = {}               # lcm L -> sum of the numerators of d**p over (3L)**p
             top, top_den = 0, 1     # the row maximum d is top / (3 * top_den)
-            for (x, x_den), (y, y_den) in zip(f_pairs, g_pairs):
+            for (x, x_den), (y, y_den) in zip(map(_phi3, fr), map(_phi3, gr)):
                 den = lcm(x_den, y_den)
                 d = abs(x * (den // x_den) - y * (den // y_den))
                 if p != 1:
@@ -151,26 +106,29 @@ def value_similarity(f: PnsSet, g: PnsSet, p: int = 2):
 def possibility_similarity(f: PnsSet, g: PnsSet):
     """Per parameter ratio similarity of the possibility rows.
 
-    Two int-list rows (see `_row`) are read as ints over the lcm of their
-    denominators, and the ratio is the quotient of two int sums. Any other
-    pair of rows reads each mu pair over the lcm of its two denominators
-    and sums per denominator, one Fraction each. A parameter whose mu
-    values vanish in both sets leaves the ratio undefined; that is
-    reported, not patched over.
+    Two sets with int views (see `sets._view`) are read as ints over the
+    lcm of their denominators, and the ratio is the quotient of two int
+    sums. Any other pair of sets reads each mu pair over the lcm of its
+    two denominators and sums per denominator, one Fraction each. A
+    parameter whose mu values vanish in both sets leaves the ratio
+    undefined; that is reported, not patched over.
     """
     _require_same_labels(f, g)
+    joint = _joint(f, g, _MU)
     components = []
-    for label, (f_den, xs, f_pairs), (g_den, ys, g_pairs) in zip(
-            f.parameters, _rows(f, "_mu_rows", _mu), _rows(g, "_mu_rows", _mu)):
-        if f_den and g_den:
-            _, xs, ys = _common(f_den, xs, g_den, ys)
+    for label, fr, gr in zip(f.parameters, *joint[1:]) if joint else zip(
+            f.parameters, f.cells, g.cells):
+        if joint:
+            (xs,), (ys,) = fr, gr
             # a Fraction numerator keeps num / den exact
             num, den = Fraction(sum(map(abs, map(sub, xs, ys)))), sum(xs) + sum(ys)
         else:
             diffs, sums = {}, {}    # lcm of a mu pair -> sums of |a - b| and a + b
-            for (x, x_den), (y, y_den) in zip(f_pairs, g_pairs):
-                den = lcm(x_den, y_den)
-                x, y = x * (den // x_den), y * (den // y_den)
+            for a, b in zip(fr, gr):
+                a, b = a.mu, b.mu
+                den = lcm(a._denominator, b._denominator)
+                x = a._numerator * (den // a._denominator)
+                y = b._numerator * (den // b._denominator)
                 diffs[den] = diffs.get(den, 0) + abs(x - y)
                 sums[den] = sums.get(den, 0) + x + y
             num = sum(Fraction(diff, den) for den, diff in diffs.items())

@@ -197,6 +197,26 @@ def test_memoized_table_numbers_match_the_longhand_ones(seed):
     assert num(1) == "1.0000" and num(Fraction(1)) == "1"
 
 
+def test_table_numbers_of_hostile_values_match_the_longhand_ones():
+    tiny = Fraction(1, 10**100000)
+    values = [tiny, 1 - tiny, Fraction(7, 10**20000), Fraction(1, 3 * 10**100000),
+              Fraction(1, 10) + Fraction(1, 3 * 10**20), Fraction(1, 2**60),
+              Fraction(1, 10**7), Fraction(-1, 2**7), Fraction(1234567, 10**7),
+              Fraction(12345678), Fraction(123456789), Fraction(-1234567, 10**6),
+              Fraction(-5, 4), Fraction(1, 3), Fraction(1, 2**61 - 1)]
+    values += [v + Fraction(k, 10**j) for v in (Fraction(1, 8), Fraction(99, 100))
+               for j in (6, 7, 30) for k in (-1, 1)]
+    assert [_num(v) for v in values] == [longhand_num(v) for v in values]
+
+
+def test_table_numbers_never_build_a_long_exact_decimal(monkeypatch):
+    built = []
+    monkeypatch.setattr(pnsoft.cli, "decimal_string", lambda x: built.append(x) or "")
+    for v in (1 - Fraction(1, 10**100000), Fraction(1, 2**60), Fraction(3, 10**7)):
+        assert _num(v) == "%.4f" % float(v)
+    assert built == []
+
+
 def test_the_identity_memo_renders_reused_ids_right():
     # each number is made and dropped between two calls, so its id is free
     # for the next one unless the memo holds on to the number

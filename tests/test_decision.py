@@ -15,6 +15,7 @@ from pnsoft import (
     decision_scores,
     or_product,
     row_scores,
+    similarity,
     weighted_matrices,
 )
 from pnsoft import decision, sets
@@ -223,11 +224,17 @@ def seeded_pair(seed, denominators, shape=((3, 2), 6)):
 
 
 def on_cells(fn, *args):
-    """`fn(*args)` with every product built cell by cell: no lcm has at most
-    0 bits, so no AND product keeps its operands' int rows."""
+    """`fn(*args)` on fresh copies of the sets, worked cell by cell: no lcm
+    has at most 0 bits, so no copy has an int view. A set keeps its view
+    once read, so the originals would ignore the patch; each copy's view
+    is asserted read and refused."""
+    args = [PnsSet(a.parameters, a.universe, a.cells) if isinstance(a, PnsSet) else a
+            for a in args]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sets, "_ROW_BITS", 0)
-        return fn(*args)
+        out = fn(*args)
+    assert [vars(a)["_view"] for a in args if isinstance(a, PnsSet)] == [None] * 2
+    return out
 
 
 def hand_built(p):
@@ -296,6 +303,16 @@ class TestIntRows:
             assert "_int_operands" not in vars(p)
             assert (step * P61).bit_length() == 65
         assert repr(decide(f, g)) == repr(on_cells(decide, f, g))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_two_sets_in_the_guard_combine_past_it(self, seed):
+        # each view has a 61-bit denominator, their lcm 122 bits
+        f, _ = seeded_pair(seed, (P61,), shape=((3, 3), 6))
+        g, _ = seeded_pair(seed, (Q61,), shape=((3, 3), 6))
+        assert vars(and_product(f, g))["_int_operands"][0] == P61 * Q61
+        assert repr(decide(f, g)) == repr(on_cells(decide, f, g))
+        for p in (1, 2, 10):
+            assert repr(similarity(f, g, p)) == repr(on_cells(similarity, f, g, p))
 
     def test_kept_rows_are_neither_pickled_nor_copied(self):
         f, g = seeded_pair(0, (100,))

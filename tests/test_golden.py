@@ -13,6 +13,7 @@ root:
 import contextlib
 import io
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,6 +78,15 @@ def test_cli_stdout_is_byte_identical(name, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     assert main(CLI_CASES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_python_m_pnsoft_prints_the_golden_bytes():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "pnsoft", *CLI_CASES["decide_houses_table"]],
+                         cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == (GOLDEN / "decide_houses_table.out").read_bytes()
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)

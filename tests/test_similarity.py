@@ -32,6 +32,7 @@ from _reference import brute_similarity
 from conftest import load_fixture, mixed_degrees
 
 similarity_module = importlib.import_module("pnsoft.similarity")
+sets_module = importlib.import_module("pnsoft.sets")
 
 #: F in G in H over one parameter; inclusion is cellwise, mu and triple
 CHAIN = tuple(
@@ -260,7 +261,8 @@ PRIMES_61 = (2**61 - 1, 2305843009213693921, 2305843009213693907, 23058430092136
              2305843009213693693, 2305843009213693669, 2305843009213693613,
              2305843009213693561)
 #: the denominators each kind of row draws its degrees over, and whether
-#: the row is kept as int numerators over one lcm of at most 64 bits
+#: a set of such rows has an int view: numerators over one lcm of at most
+#: 64 bits
 ROW_KINDS = {
     "two decimals": ((100,), True),
     "six decimals": ((10**6,), True),
@@ -285,17 +287,18 @@ def kinds_set(rng, kinds, n_elems):
          for kind in kinds])
 
 
-def row_forms(s, key):
-    """For each row the measure keeps on `s`, whether it is an int list."""
-    return [den is not None for den, _, _ in s.__dict__[key]]
+def has_view(s):
+    """Whether the measure read `s` into an int view."""
+    return s.__dict__["_view"] is not None
 
 
 class TestRowForms:
-    """Rows kept as int lists over one denominator and rows kept as int
-    pairs per cell give what Fraction arithmetic gives, alone and against
-    each other."""
+    """Sets read as int lists over one denominator and sets read cell by
+    cell give what Fraction arithmetic gives, alone and against each
+    other."""
 
-    @pytest.fixture(scope="class", params=["shuffled kinds", "decimal against primes"])
+    @pytest.fixture(scope="class", params=["shuffled kinds", "decimal against primes",
+                                           "one prime against another"])
     def pair(self, request):
         rng = random.Random(f"row forms/{request.param}")
         kinds = list(ROW_KINDS)
@@ -304,9 +307,12 @@ class TestRowForms:
         if request.param == "shuffled kinds":
             f = kinds_set(rng, kinds, 3)
             g = kinds_set(rng, rng.sample(kinds, len(kinds)), 3)
-        else:
+        elif request.param == "decimal against primes":
             f = kinds_set(rng, ["two and six decimals"] * 2, 3)
             g = kinds_set(rng, ["primes"] * 2, 3)
+        else:  # each view within the guard, their joint lcm of 125 bits past it
+            f = kinds_set(rng, ["one prime"] * 2, 3)
+            g = kinds_set(rng, ["eighths and one prime"] * 2, 3)
         return f, g
 
     @pytest.mark.parametrize("p", [1, 2, 3, 10, MAX_ORDER])
@@ -318,16 +324,30 @@ class TestRowForms:
         f, g = pair
         assert repr(possibility_similarity(f, g)) == repr(longhand_possibility_similarity(f, g))
 
-    def test_each_kind_of_row_is_kept_in_its_form(self):
-        s = kinds_set(random.Random("row forms"), list(ROW_KINDS), 4)
+    @pytest.mark.parametrize("kind", ROW_KINDS)
+    def test_a_set_of_each_kind_has_a_view_only_within_the_guard(self, kind):
+        s = kinds_set(random.Random(f"row forms/{kind}"), [kind] * 2, 4)
         similarity(s, s)
-        want = [int_list for _, int_list in ROW_KINDS.values()]
-        assert row_forms(s, "_phi3_rows") == row_forms(s, "_mu_rows") == want
+        assert has_view(s) is ROW_KINDS[kind][1]
 
-    def test_no_row_over_prime_denominators_is_an_int_list(self):
-        s = kinds_set(random.Random("primes"), ["primes"] * 10, 100)
-        similarity(s, s, p=1)
-        assert not any(row_forms(s, "_phi3_rows") + row_forms(s, "_mu_rows"))
+    def test_no_set_with_a_prime_degree_past_the_guard_has_a_view(self):
+        primes = kinds_set(random.Random("primes"), ["primes"] * 10, 100)
+        decimals = kinds_set(random.Random("decimals"), ["two and six decimals"] * 10, 100)
+        rows = [list(row) for row in decimals.cells]
+        rows[9][99] = (Fraction(1, PRIMES_61[3]), 0, 0, 1)   # 81 bits with 10**6
+        scattered = PnsSet.from_rows(decimals.parameters, decimals.universe, rows)
+        for s in (primes, decimals, scattered):
+            similarity(s, s, p=1)
+        assert [has_view(s) for s in (primes, decimals, scattered)] == [False, True, False]
+
+    def test_reading_stops_at_the_first_row_past_the_guard(self):
+        class Unread:
+            def __getattr__(self, name):
+                raise AssertionError(f"a cell after the first row was read: {name}")
+        primes = kinds_set(random.Random("early"), ["primes"], 100)
+        rows = primes.cells + ((Unread(),) * 100,) * 9
+        s = PnsSet(tuple(f"e{k}" for k in range(10)), primes.universe, rows)
+        assert sets_module._view(s) is None
 
 
 class TestSimilarity:
@@ -489,27 +509,27 @@ class TestSelection:
             select_by_similarity(model, loading(), p=0)
         assert read == []
 
-    def test_each_set_is_read_into_rows_once(self, hiring, monkeypatch):
-        # fresh objects: the fixture's sets may already hold their rows
+    def test_each_set_is_read_once(self, hiring, monkeypatch):
+        # fresh objects: the fixture's sets may already hold their views
         model, candidates = hiring
         model = PnsSet(model.parameters, model.universe, model.cells)
         relabelled = PnsSet.from_rows(["x"], ["u1"], [[(0, 0, 0, 1)]])
         candidates = [(label, PnsSet(c.parameters, c.universe, c.cells))
                       for label, c in candidates] + [("odd", relabelled)]
-        calls = Counter()
-        for name in ("_phi3", "_mu"):
-            def counted(cell, _name=name, _read=getattr(similarity_module, name)):
-                calls[_name] += 1
-                return _read(cell)
-            monkeypatch.setattr(similarity_module, name, counted)
+        read = Counter()
+
+        def counted(cells, _read=sets_module._read_view):
+            read[id(cells)] += 1
+            return _read(cells)
+        monkeypatch.setattr(sets_module, "_read_view", counted)
         s = select_by_similarity(model, candidates)
         assert s.selected == ("applicant_4",)
-        cells = sum(len(c.parameters) * len(c.universe) for _, c in candidates[:-1])
-        cells += len(model.parameters) * len(model.universe)
-        assert calls == {"_phi3": cells, "_mu": cells}
-        calls.clear()
+        compared = [model] + [c for _, c in candidates[:-1]]
+        assert read == Counter(id(c.cells) for c in compared)
+        assert all(map(has_view, compared))
+        read.clear()
         assert select_by_similarity(model, candidates) == s
-        assert calls == {}
+        assert read == Counter()
 
     def test_empty_candidate_list_refused(self, hiring):
         model, _ = hiring
