@@ -11,9 +11,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import Callable
 
 from .errors import ProfileError, _listed, _plain
+
+
+class _Memo(dict):
+    """Key -> `make(key)`, made on a miss and kept while the memo holds
+    fewer than `cap` entries, so a hit is one dict lookup in C: pass its
+    `__getitem__` as the function. What `make` raises is raised, not kept."""
+
+    __slots__ = ("make", "cap")
+
+    def __init__(self, make, cap=inf):
+        self.make, self.cap = make, cap
+
+    def __missing__(self, key):
+        make = self.make   # self.make(key) would look the slot up as a method, slower
+        value = make(key)
+        if len(self) < self.cap:
+            self[key] = value
+        return value
 
 
 #: Largest decimal exponent a number literal may carry. Fraction expands

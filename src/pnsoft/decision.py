@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from operator import add, mul, sub
 
+from .algebra import _Memo
 from .errors import IncompatibleError
 from .sets import PnsSet, ProductPnsSet, _pick, and_product
 
@@ -39,19 +41,6 @@ class DecisionReport:
     winners: tuple   # all labels attaining the best decision score
 
 
-class _Entries(dict):
-    """Numerator -> the Fraction it makes over `denominator`, built on a miss."""
-
-    __slots__ = ("denominator",)
-
-    def __init__(self, denominator):
-        self.denominator = denominator
-
-    def __missing__(self, numerator):
-        value = self[numerator] = Fraction(numerator, self.denominator)
-        return value
-
-
 def weighted_matrices(p: ProductPnsSet):
     """Blend each component with the cell possibility m.
 
@@ -72,10 +61,10 @@ def weighted_matrices(p: ProductPnsSet):
     kept = vars(p).get("_int_operands")
     if kept is not None:
         den, f_rows, g_rows = kept
-        entry = _Entries(den * den).__getitem__
+        entry = _Memo(partial(Fraction, denominator=den * den)).__getitem__
         wt, wi, wf = [], [], []
-        for ft, fi, ff, fm in f_rows:
-            for gt, gi, gf, gm in g_rows:
+        for ft, fi, ff, fm, _ in f_rows:
+            for gt, gi, gf, gm, _ in g_rows:
                 t, m = list(_pick(True, ft, gt, ft, gt)), list(_pick(True, fm, gm, fm, gm))
                 wt.append(tuple(map(entry, map(
                     sub, map(mul, map(add, t, m), repeat(den)), map(mul, t, m)))))

@@ -21,14 +21,14 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from pathlib import Path
 
-from .algebra import ExponentError, parse_decimal
+from .algebra import ExponentError, _Memo, parse_decimal
 from .errors import SchemaError, _escaped, _label, _listed, _plain
 from .sets import PnsSet
 
 
 @functools.lru_cache(maxsize=1024)
 def _decimal_scale(denominator: int):
-    """(scale, factor) with denominator * factor == 10**scale, scale minimal.
+    """The least scale with `denominator` dividing 10**scale.
 
     None when the denominator has a prime factor other than 2 and 5, so no
     finite decimal exists. Bounded: a set holds few distinct denominators,
@@ -41,8 +41,7 @@ def _decimal_scale(denominator: int):
     fives = round(math.log(rest, 5))
     if 5 ** fives != rest:
         return None
-    scale = max(twos, fives)
-    return scale, 10 ** scale // denominator
+    return max(twos, fives)
 
 
 def decimal_string(value) -> str:
@@ -52,13 +51,12 @@ def decimal_string(value) -> str:
     anything else falls back to the float repr.
     """
     fr = value if isinstance(value, Fraction) else Fraction(value)
-    scaled = _decimal_scale(fr._denominator)
-    if scaled is None:
+    scale = _decimal_scale(fr._denominator)
+    if scale is None:
         return repr(float(value))
-    scale, factor = scaled
     numerator = fr._numerator
     sign = "-" if numerator < 0 else ""
-    magnitude = abs(numerator) * factor
+    magnitude = abs(numerator) * (10 ** scale // fr._denominator)
     try:
         digits = str(magnitude)
     except ValueError:  # beyond the int-to-str digit limit, which Decimal lacks
@@ -98,29 +96,6 @@ def from_document(doc) -> PnsSet:
 #: renders 5,508 distinct values held in 18,636 objects, and the CLI puts a
 #: memo by object identity in front of this one for that output.
 MEMO_CAP = 4096
-
-
-class _Literals(dict):
-    """Literal -> Fraction memo whose `__getitem__` parses on a miss."""
-
-    __slots__ = ()
-
-    def __missing__(self, text):
-        value = parse_decimal(text)
-        if len(self) < MEMO_CAP:
-            self[text] = value
-        return value
-
-
-def _literal_parser():
-    """`parse_decimal` with each literal's Fraction memoized. One per load.
-
-    Each of the first MEMO_CAP distinct literals is parsed once, and every
-    repeat returns that same Fraction through a dict lookup in C, with no
-    Python call. Past the cap, a new literal is parsed each time it
-    occurs. Errors are raised, not memoized.
-    """
-    return _Literals().__getitem__
 
 
 def _memoized(number):
@@ -252,8 +227,9 @@ def _reject_constant(name):
 
 
 def loads_pns(text: str) -> PnsSet:
-    """Parse JSON text into a set; numbers become exact fractions."""
-    parse = _literal_parser()
+    """Parse JSON text into a set; numbers become exact fractions, each of
+    the first MEMO_CAP distinct literals parsed once into one Fraction."""
+    parse = _Memo(parse_decimal, MEMO_CAP).__getitem__
     try:
         doc = json.loads(text, parse_float=parse, parse_int=parse,
                          parse_constant=_reject_constant)
@@ -330,7 +306,7 @@ def loads_csv(text: str) -> PnsSet:
     if header != list(CSV_COLUMNS):
         raise SchemaError(
             f"header must be {', '.join(CSV_COLUMNS)}; got {_listed(header)}")
-    parse = _literal_parser()
+    parse = _Memo(parse_decimal, MEMO_CAP).__getitem__
     seen, problems = {}, []
     for lineno, row in rows[1:]:
         if len(row) != len(CSV_COLUMNS):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
-from operator import add, attrgetter, getitem, itemgetter, le, mul
+from operator import add, attrgetter, getitem, le, mul
 
 from .algebra import (
     DEFAULT_PROFILE,
@@ -398,14 +398,15 @@ def _read_view(cells):
     return den, rows
 
 
-#: columns of a view's rows: the four degrees, 3 phi (t + i + f), mu
-_DEGREES, _PHI3, _MU = slice(4), slice(4, 5), slice(3, 4)
+#: positions in a view's row of the mu numerators and of 3 phi (t + i + f)
+_MU, _PHI3 = 3, 4
 
 
-def _joint(f: PnsSet, g: PnsSet, columns=_DEGREES):
-    """(L, f's rows, g's rows): each row's int lists in `columns`, over L,
-    the lcm of the two views' denominators. None when either set has no
-    view. This is the one reader of the views."""
+def _joint(f: PnsSet, g: PnsSet):
+    """(L, f's rows, g's rows), each view's rows over L, the lcm of the two
+    views' denominators: a view's own row lists when its L is L, else
+    every row's lists rescaled. None when either set has no view. This is
+    the one reader of the views; its readers only read the lists."""
     f_view, g_view = _view(f), _view(g)
     if f_view is None or g_view is None:
         return None
@@ -413,8 +414,7 @@ def _joint(f: PnsSet, g: PnsSet, columns=_DEGREES):
     rescaled = []
     for view_den, rows in (f_view, g_view):
         scale = den // view_den
-        rows = map(itemgetter(columns), rows)
-        rescaled.append(list(rows) if scale == 1 else
+        rescaled.append(rows if scale == 1 else
                         [[list(map(mul, xs, repeat(scale))) for xs in row] for row in rows])
     return den, *rescaled
 

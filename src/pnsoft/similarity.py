@@ -69,11 +69,11 @@ def value_similarity(f: PnsSet, g: PnsSet, p: int = 2):
     _check_p(p)
     _require_same_labels(f, g)
     n = len(f.universe)
-    joint = _joint(f, g, _PHI3)
+    joint = _joint(f, g)
     components = []
     for fr, gr in zip(*joint[1:]) if joint else zip(f.cells, g.cells):
         if joint:
-            den, (xs,), (ys,) = joint[0], fr, gr
+            den, xs, ys = joint[0], fr[_PHI3], gr[_PHI3]
             ds = list(map(abs, map(sub, xs, ys)))   # over 3 * den
             if p == 1:
                 m = 1 - Fraction(sum(ds), 3 * den) / n
@@ -114,12 +114,12 @@ def possibility_similarity(f: PnsSet, g: PnsSet):
     undefined; that is reported, not patched over.
     """
     _require_same_labels(f, g)
-    joint = _joint(f, g, _MU)
+    joint = _joint(f, g)
     components = []
     for label, fr, gr in zip(f.parameters, *joint[1:]) if joint else zip(
             f.parameters, f.cells, g.cells):
         if joint:
-            (xs,), (ys,) = fr, gr
+            xs, ys = fr[_MU], gr[_MU]
             # a Fraction numerator keeps num / den exact
             num, den = Fraction(sum(map(abs, map(sub, xs, ys)))), sum(xs) + sum(ys)
         else:

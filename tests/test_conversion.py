@@ -20,7 +20,7 @@ from hypothesis import example, given, strategies as st
 import pnsoft.cli
 import pnsoft.jsonio
 from pnsoft import PnsSet, decimal_string, loads_csv, loads_pns
-from pnsoft.algebra import parse_decimal
+from pnsoft.algebra import _Memo, parse_decimal
 from pnsoft.cli import _num, _six_decimals, main
 from pnsoft.jsonio import MEMO_CAP, _chunks, _memoized
 
@@ -460,11 +460,12 @@ LOADERS = pytest.mark.parametrize(
 
 def loaded_twice(monkeypatch, load, text, doc):
     """`doc` loaded with the literal memo, the parse_decimal calls that
-    load made, and `doc` loaded with a plain parse_decimal."""
+    load made, and `doc` loaded with a memo that keeps nothing, so that
+    every literal goes through a plain parse_decimal."""
     calls = counting(monkeypatch, pnsoft.jsonio, "parse_decimal", str)
     memoized = load(text(doc))
     monkeypatch.undo()
-    monkeypatch.setattr(pnsoft.jsonio, "_literal_parser", lambda: parse_decimal)
+    monkeypatch.setattr(pnsoft.jsonio, "MEMO_CAP", 0)
     return memoized, calls, load(text(doc))
 
 
@@ -494,11 +495,16 @@ def test_the_literal_memo_parses_each_of_1001_literals_once(monkeypatch, load, t
     assert memoized == plain and degrees(memoized) == degrees(plain)
 
 
+def literal_memo():
+    """The literal memo that `loads_pns` and `loads_csv` make for one load."""
+    return _Memo(pnsoft.jsonio.parse_decimal, pnsoft.jsonio.MEMO_CAP).__getitem__
+
+
 @pytest.mark.parametrize("hits", [0, 511, 512])
 def test_the_literal_memo_keeps_literals_up_to_its_cap(monkeypatch, hits):
     # how often the first literal recurred changes nothing
     calls = counting(monkeypatch, pnsoft.jsonio, "parse_decimal", str)
-    parse = pnsoft.jsonio._literal_parser()
+    parse = literal_memo()
     first = parse("0.5")
     for _ in range(hits):
         assert parse("0.5") is first
@@ -513,6 +519,29 @@ def test_the_literal_memo_keeps_literals_up_to_its_cap(monkeypatch, hits):
     # past the cap, a new literal is parsed each time it occurs
     assert all(calls[t] == 2 for t in distinct[kept:])
     assert all(a is not b for a, b in zip(again[kept:], values[kept:]))
+
+
+@LOADERS
+def test_a_load_keeps_the_first_memo_cap_literals(monkeypatch, load, text):
+    # each load reads MEMO_CAP when it starts, and its cap holds across cells
+    monkeypatch.setattr(pnsoft.jsonio, "MEMO_CAP", 3)
+    calls = counting(monkeypatch, pnsoft.jsonio, "parse_decimal", str)
+    literals = ["0.1", "0.2", "0.3", "0.4", "0.5"]
+    doc = {"parameters": ["e1", "e2"], "universe": ["u1", "u2"],
+           "cells": [[dict(zip(("t", "i", "f", "mu"), literals[k:k + 4]))
+                      for k in (0, 1)]] * 2}
+    s = load(text(doc))
+    assert dict(calls) == {"0.1": 1, "0.2": 1, "0.3": 1, "0.4": 4, "0.5": 2}
+    assert s.cells[0][0].truth is s.cells[1][0].truth
+    assert s.cells[0][1].falsity is not s.cells[1][1].falsity
+
+
+def test_the_literal_memo_keeps_no_error():
+    parse = literal_memo()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            parse("0.5.5")
+    assert parse.__self__ == {}
 
 
 def test_a_render_leaves_no_reference_cycle():

@@ -305,14 +305,34 @@ class TestIntRows:
         assert repr(decide(f, g)) == repr(on_cells(decide, f, g))
 
     @pytest.mark.parametrize("seed", range(2))
-    def test_two_sets_in_the_guard_combine_past_it(self, seed):
-        # each view has a 61-bit denominator, their lcm 122 bits
-        f, _ = seeded_pair(seed, (P61,), shape=((3, 3), 6))
-        g, _ = seeded_pair(seed, (Q61,), shape=((3, 3), 6))
-        assert vars(and_product(f, g))["_int_operands"][0] == P61 * Q61
-        assert repr(decide(f, g)) == repr(on_cells(decide, f, g))
-        for p in (1, 2, 10):
-            assert repr(similarity(f, g, p)) == repr(on_cells(similarity, f, g, p))
+    @pytest.mark.parametrize("f_den, g_den, den", [(P61, Q61, P61 * Q61), (100, 1000, 1000)],
+                             ids=["61-bit-primes", "two-against-three-decimals"])
+    def test_two_sets_in_the_guard_combine_past_it(self, seed, f_den, g_den, den):
+        # each view has a denominator of its own, and one of them or both
+        # are rescaled to their lcm: for two 61-bit primes, 122 bits
+        f, _ = seeded_pair(seed, (f_den,), shape=((3, 3), 6))
+        g, _ = seeded_pair(seed, (g_den,), shape=((3, 3), 6))
+        assert [sets._view(s)[0] for s in (f, g)] == [f_den, g_den]
+        for first, second in ((f, g), (g, f)):
+            assert vars(and_product(first, second))["_int_operands"][0] == den
+            assert repr(decide(first, second)) == repr(on_cells(decide, first, second))
+            for p in (1, 2, 10):
+                assert repr(similarity(first, second, p)) == repr(
+                    on_cells(similarity, first, second, p))
+
+    def test_views_over_one_denominator_hand_out_their_own_rows(self):
+        f, g = seeded_pair(0, (100,))
+        h, _ = seeded_pair(0, (1000,))
+        (_, f_rows), (_, g_rows), (_, h_rows) = map(sets._view, (f, g, h))
+        den, f_joint, g_joint = sets._joint(f, g)
+        assert den == 100 and f_joint is f_rows and g_joint is g_rows
+        # over another denominator, only the rescaled view's rows are new,
+        # and the view they were read from keeps its ints
+        before = copy.deepcopy(f_rows)
+        den, f_joint, h_joint = sets._joint(f, h)
+        assert den == 1000 and h_joint is h_rows
+        assert f_joint == [[[10 * x for x in xs] for xs in row] for row in before]
+        assert sets._view(f) == (100, before)
 
     def test_kept_rows_are_neither_pickled_nor_copied(self):
         f, g = seeded_pair(0, (100,))
