@@ -61,11 +61,11 @@ def _num(x) -> str:
 def _by_identity(number):
     """`number` with each object rendered once. Make one per output.
 
-    For outputs that repeat objects: the weighted entries of a decide report
-    share one Fraction per (degree, possibility) pair, and product cells
-    reuse their operands' degrees, so an id lookup answers most calls
-    before the value memo behind it is asked. The memo keeps a reference
-    to every object it has seen, so no id is reused while it lives; the
+    The render memo of `decide`, whose output repeats objects rather than
+    values: equal weighted entries share one Fraction, and product cells
+    reuse their operands' degrees, so few objects hold the same value and
+    no value memo is put behind this one. The memo keeps a reference to
+    every object it has seen, so no id is reused while it lives; the
     report it renders holds those objects anyway.
     """
     texts, seen = {}, []
@@ -258,7 +258,7 @@ def _cmd_decide(args) -> int:
                                    "entries": rows}
               for name, rows in matrices}}
     _emit(args, doc, partial(_decide_lines, report, product, matrices),
-          memo=lambda number: _by_identity(_memoized(number)))
+          memo=_by_identity)
     return 0
 
 

@@ -291,7 +291,6 @@ def is_subset(f: PnsSet, g: PnsSet) -> bool:
 
 
 def equals(f: PnsSet, g: PnsSet) -> bool:
-    _require_same_labels(f, g)
     return is_subset(f, g) and is_subset(g, f)
 
 
@@ -355,11 +354,11 @@ _denominator = attrgetter("_denominator")
 
 
 def _view(s: PnsSet):
-    """The int view of a set, (L, rows), or None past the guard or for a
-    degree that is not a Fraction. L is the lcm of every denominator of
-    the set; each row is five int lists over L, the t, i, f and mu
-    numerators of its cells and their sums t + i + f. Kept in the
-    immutable set's instance dict, so a set is read once."""
+    """The int view of a set, (L, rows), or None past the guard. L is the
+    lcm of every denominator of the set; each row is five int lists over
+    L, the t, i, f and mu numerators of its cells and their sums
+    t + i + f. Kept in the immutable set's instance dict, so a set is
+    read once."""
     try:
         return s.__dict__["_view"]
     except KeyError:
@@ -375,11 +374,8 @@ def _read_view(cells):
     start = 0
     while start < len(cells):
         stop = 2 * start + 1
-        try:
-            run = list(chain.from_iterable(map(_degrees, chain.from_iterable(cells[start:stop]))))
-            run_denominators = list(map(_denominator, run))
-        except AttributeError:
-            return None
+        run = list(chain.from_iterable(map(_degrees, chain.from_iterable(cells[start:stop]))))
+        run_denominators = list(map(_denominator, run))
         for d in set(run_denominators) - distinct:
             den = lcm(den, d)
             if den.bit_length() > _ROW_BITS:  # on primes, from the second one on

@@ -1,18 +1,26 @@
-"""Hostile but valid inputs end in bounded time and memory (aim 3).
+"""Hostile inputs end in bounded time and memory (aim 3).
 
 Each case runs one CLI command in a child interpreter, on a corpus drawn
 from a fixed seed, under a wall timeout and an address-space limit
 (RLIMIT_AS). The child sets the limit on itself before it imports pnsoft,
-so it binds the suite's own children only. Every input is valid and
-within today's limits:
+so it binds the suite's own children only. Every input but one pair is
+valid and within today's limits:
 
 - two 5x5 sets whose degrees are literals 0.De-N with N near 10**4;
 - two 5x5 sets of the same form with N near 9 * 10**4;
 - two 10x100 CSV sets whose every degree is k/q, q a 61-bit prime drawn
-  for that degree.
+  for that degree;
+- two 2x10**4 sets of two-decimal degrees, a universe of 10**4 elements;
+- two 2x2 CSV sets with a parameter and an element label of exactly
+  `csv.field_size_limit()` characters, and two with labels one character
+  longer, which every command refuses in one bounded line;
+- two 2x2 JSON sets with labels twice that long, and two whose labels are
+  control characters.
 
-Known runaways are strict xfails that name the ROADMAP item that mends
-them; whichever change mends one removes its marker.
+Every command runs on each input; `similarity` and `select` also run at
+`-p 1000`, the highest order, on the two-decimal sets, and `similarity`
+at that order on the long-decimal and the prime sets. Known runaways are strict xfails that name the ROADMAP
+item that mends them; whichever change mends one removes its marker.
 
 Timeouts. On a shared 2-vCPU VM (Python 3.11.7) each passing case took
 0.10-0.86 s spawn to exit, the slowest being `decide` on the long
@@ -20,9 +28,17 @@ decimals, so PASS_TIMEOUT gives every passing case more than ten times
 its time. The runaways took 43-49 s (`decide`, to the end, two runs)
 and more than 60 s (`similarity -p 100`, killed; over 150 s on another
 draw of primes), so RUNAWAY_TIMEOUT lies more than eight times below
-each; the two cost the suite 2 * RUNAWAY_TIMEOUT of its 16 s.
+each. `similarity -p 1000` ran past 60 s on the long decimals (where
+p = 30 took 9.3 s) and past 30 s on the primes, both killed. Item 4
+aims at a 20x200 prime pair in under 1 s at that order, so a mended
+10x100 pair should take about a quarter of that plus the child's 0.1 s
+start: HIGH_ORDER_TIMEOUT gives it five times that and lies fifteen
+times or more below each runaway. The four runaways cost the suite
+2 * (RUNAWAY_TIMEOUT + HIGH_ORDER_TIMEOUT) = 14 s of its 29 s.
 """
 
+import csv
+import json
 import math
 import os
 import random
@@ -38,6 +54,7 @@ pytest.importorskip("resource")  # each child limits itself through it
 
 PASS_TIMEOUT = 10
 RUNAWAY_TIMEOUT = 5
+HIGH_ORDER_TIMEOUT = 2
 
 #: address space a child may map: more than four times the 55 MB peak
 #: RSS of the costliest command here, `decide` on exponents near
@@ -55,21 +72,60 @@ LAUNCH = ("import resource, runpy, sys\n"
 
 SRC = str(Path(pnsoft.__file__).resolve().parents[1])
 
+#: the longest CSV field the csv module reads (131,072 characters by
+#: default); the corpus holds labels of exactly this length and one more
+FIELD_LIMIT = csv.field_size_limit()
+
+#: a JSON label, which has no field limit, twice the longest CSV field: a
+#: product label joins two, and a table pads each row of its column to it
+#: (a table `decide` writes 12 MB)
+LONG_LABEL = 2 * FIELD_LIMIT
+
+#: labels made of control characters: NUL, an escape sequence with a bell,
+#: a newline, a carriage return with a tab, DEL, and C1 NEL with a line
+#: separator
+CONTROL_LABELS = ["\x00", "\x1b[2J\x07", "\n", "\r\t", "\x7f", "\x85\u2028"]
+
+#: the longest refusal a case may print, an error line or `validate`'s
+#: report of both files: a message names the file and its line, and cuts
+#: any label it quotes to 40 characters
+ERROR_BYTES = 200
+
+
+def labels(prefix, n):
+    return [f"{prefix}{k + 1}" for k in range(n)]
+
+
+def json_set(parameters, universe, literal):
+    """A JSON text of a set over `parameters` x `universe` whose degrees are
+    the texts `literal()` returns, drawn t, i, f, mu cell by cell."""
+    cells = ", ".join(
+        "[%s]" % ", ".join('{"t": %s, "i": %s, "f": %s, "mu": %s}' % (
+            literal(), literal(), literal(), literal()) for _ in universe)
+        for _ in parameters)
+    return ('{"parameters": %s, "universe": %s, "cells": [%s]}'
+            % (json.dumps(parameters), json.dumps(universe), cells))
+
+
+def csv_set(parameters, universe, literal):
+    """The same as a CSV text; labels must need no quoting."""
+    lines = ["parameter,element,t,i,f,mu"]
+    for p in parameters:
+        for u in universe:
+            lines.append(",".join([p, u, literal(), literal(), literal(), literal()]))
+    return "\n".join(lines) + "\n"
+
 
 def long_decimal_set(rng, exponents, shape=(5, 5)):
     """A JSON text of a set whose degrees are literals 0.De-N, D a digit
     from 1 to 9 and N drawn from `exponents`."""
-    n_params, n_elems = shape
+    return json_set(labels("e", shape[0]), labels("u", shape[1]),
+                    lambda: "0.%de-%d" % (rng.randint(1, 9), rng.choice(exponents)))
 
-    def literal():
-        return "0.%de-%d" % (rng.randint(1, 9), rng.choice(exponents))
-    cells = ", ".join(
-        "[%s]" % ", ".join('{"t": %s, "i": %s, "f": %s, "mu": %s}' % (
-            literal(), literal(), literal(), literal()) for _ in range(n_elems))
-        for _ in range(n_params))
-    return ('{"parameters": [%s], "universe": [%s], "cells": [%s]}' % (
-        ", ".join(f'"e{k + 1}"' for k in range(n_params)),
-        ", ".join(f'"u{k + 1}"' for k in range(n_elems)), cells))
+
+def two_decimals(rng):
+    """A maker of two-decimal literals, k/100 with k drawn from 0 to 100."""
+    return lambda: "%d.%02d" % divmod(rng.randint(0, 100), 100)
 
 
 #: odd primes below 300: one gcd with their product sieves a candidate
@@ -87,16 +143,10 @@ def prime_61(rng):
 
 def prime_csv(rng, shape=(10, 100)):
     """A CSV text of a set whose every degree is k/q over a prime q of its own."""
-    n_params, n_elems = shape
-    lines = ["parameter,element,t,i,f,mu"]
-    for p in range(n_params):
-        for u in range(n_elems):
-            degrees = []
-            for _ in range(4):
-                q = prime_61(rng)
-                degrees.append(f"{rng.randint(0, q)}/{q}")
-            lines.append(f"e{p + 1},u{u + 1}," + ",".join(degrees))
-    return "\n".join(lines) + "\n"
+    def literal():
+        q = prime_61(rng)
+        return f"{rng.randint(0, q)}/{q}"
+    return csv_set(labels("e", shape[0]), labels("u", shape[1]), literal)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +159,19 @@ def corpus(tmp_path_factory):
             (directory / f"{name}_{side}.json").write_text(long_decimal_set(rng, exponents))
     for side in "ab":
         (directory / f"primes_{side}.csv").write_text(prime_csv(rng))
+    for side in "ab":
+        (directory / f"wide_{side}.json").write_text(
+            json_set(labels("e", 2), labels("u", 10_000), two_decimals(rng)))
+    for name, length in (("edge", FIELD_LIMIT), ("past", FIELD_LIMIT + 1)):
+        for side in "ab":
+            (directory / f"{name}_{side}.csv").write_text(csv_set(
+                ["e" * length, "e2"], ["u1", "u" * length], two_decimals(rng)))
+    for name, parameters, universe in (
+            ("longlabel", ["e" * LONG_LABEL, "e2"], ["u1", "u" * LONG_LABEL]),
+            ("control", CONTROL_LABELS[:2], CONTROL_LABELS[2:])):
+        for side in "ab":
+            (directory / f"{name}_{side}.json").write_text(
+                json_set(parameters, universe, two_decimals(rng)))
     return directory
 
 
@@ -134,6 +197,22 @@ def runaway(item, reason):
     return pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
                              reason=f"ROADMAP item {item}: {reason}")
 
+
+PRIME_ORDERS = runaway(4, "the exact sum of d**p over coprime denominators grows to "
+                          "about n * p * 366 bits")
+
+#: every command once, formats mixed
+EVERY_COMMAND = [
+    ("validate",),
+    ("union",),
+    ("intersect", "--format", "json"),
+    ("complement",),
+    ("and-product", "--format", "json"),
+    ("or-product",),
+    ("decide",),
+    ("similarity",),
+    ("select", "--format", "json"),
+]
 
 CASES = [
     *cases("long_a.json", "long_b.json", [
@@ -168,8 +247,17 @@ CASES = [
         2, "every Fraction the pipeline builds pays a gcd on denominators of "
            "about 300k bits")),
     *cases("primes_a.csv", "primes_b.csv", [("similarity", "-p", "100")], RUNAWAY_TIMEOUT,
-           runaway(4, "the exact sum of d**p over coprime denominators grows to "
-                      "about n * p * 366 bits")),
+           PRIME_ORDERS),
+    *cases("primes_a.csv", "primes_b.csv", [("similarity", "-p", "1000")], HIGH_ORDER_TIMEOUT,
+           PRIME_ORDERS),
+    *cases("long_a.json", "long_b.json", [("similarity", "-p", "1000")], HIGH_ORDER_TIMEOUT,
+           runaway(4, "the exact sum of d**p over denominators of about 35k bits "
+                      "grows with p times their size")),
+    *cases("wide_a.json", "wide_b.json", [
+        *EVERY_COMMAND, ("similarity", "-p", "1000"), ("select", "-p", "1000")]),
+    *cases("edge_a.csv", "edge_b.csv", EVERY_COMMAND),
+    *cases("longlabel_a.json", "longlabel_b.json", EVERY_COMMAND),
+    *cases("control_a.json", "control_b.json", EVERY_COMMAND),
 ]
 
 
@@ -178,3 +266,17 @@ def test_a_hostile_input_ends_within_its_budget(corpus, args, timeout):
     done = run(corpus, args, timeout)
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout.endswith(b"\n")
+
+
+@pytest.mark.parametrize("args, timeout", cases("past_a.csv", "past_b.csv", EVERY_COMMAND))
+def test_an_input_past_a_limit_is_refused_in_one_bounded_line(corpus, args, timeout):
+    done = run(corpus, args, timeout)
+    if args[0] == "validate":  # it reports a bad file as its output
+        assert (done.returncode, done.stderr) == (1, b"")
+        report = done.stdout.decode()
+    else:
+        assert (done.returncode, done.stdout) == (1, b"")
+        report = done.stderr.decode()
+        assert report.startswith("error: ") and report.count("\n") == 1
+    assert f"field larger than field limit ({FIELD_LIMIT})" in report
+    assert len(report) <= ERROR_BYTES

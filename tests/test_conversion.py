@@ -220,8 +220,8 @@ def test_table_numbers_never_build_a_long_exact_decimal(monkeypatch):
 def test_the_identity_memo_renders_reused_ids_right():
     # each number is made and dropped between two calls, so its id is free
     # for the next one unless the memo holds on to the number
-    num = pnsoft.cli._by_identity(_memoized(_num))
-    six = pnsoft.cli._by_identity(_memoized(_six_decimals))
+    num = pnsoft.cli._by_identity(_num)
+    six = pnsoft.cli._by_identity(_six_decimals)
     rng = random.Random(12)
     got, want = [], []
     for _ in range(3000):
@@ -330,10 +330,11 @@ def exact(x):
 
 @pytest.mark.parametrize("fmt,formatter", [("table", "_num"),
                                            ("json", "_six_decimals")])
-def test_decide_formats_each_distinct_value_once(seeded_pair, monkeypatch,
-                                                 fmt, formatter):
+def test_decide_formats_each_object_once(seeded_pair, monkeypatch,
+                                         fmt, formatter):
+    # the identity memo holds every object it formats, so no id recurs
     _, paths = seeded_pair
-    calls = counting(monkeypatch, pnsoft.cli, formatter, exact)
+    calls = counting(monkeypatch, pnsoft.cli, formatter, id)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["decide", *paths, "--format", fmt]) == 0
     assert len(calls) > 100  # product values, matrix entries and scores
