@@ -84,11 +84,7 @@ def as_unit(value, what: str = "value") -> Fraction:
         return value
     if isinstance(value, bool):
         raise ValueError(f"{what} must be a number, got a boolean")
-    if isinstance(value, Fraction):
-        out = Fraction(value)
-    elif isinstance(value, int):
-        out = Fraction(value)
-    elif isinstance(value, float):
+    if isinstance(value, float):
         # repr(float) is the shortest round-tripping decimal, which is what
         # a person typing 0.7 meant.
         try:
@@ -102,7 +98,7 @@ def as_unit(value, what: str = "value") -> Fraction:
             raise ValueError(f"{what}: {exc}") from None
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{what} is not a number: {_plain(value)}") from None
-    else:
+    else:  # an int, a Fraction subclass or another number
         try:
             out = Fraction(value)
         except (TypeError, ValueError):

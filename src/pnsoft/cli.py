@@ -101,6 +101,13 @@ def _emit(args, doc, table, memo=_memoized) -> None:
     write("\n")
 
 
+#: the widest a table column pads to. A cell's text is at most 36
+#: characters, four numbers of at most 8, and the widest text in the golden
+#: outputs has 21: only a longer label overflows its column, so that one
+#: long label does not pad every line of every section to its length.
+_PAD_MAX = 40
+
+
 def _table(headers, rows):
     """The lines of aligned columns; the headers and each row's first cell
     are labels.
@@ -108,12 +115,13 @@ def _table(headers, rows):
     A label that is not printable is escaped, so that each row stays on
     one line; printable labels keep their exact text. The column widths
     need every row, so the cell texts of the whole table are kept until
-    its last line is made.
+    its last line is made. A text longer than `_PAD_MAX` overflows its
+    column.
     """
     headers = [_escaped(h) for h in headers]
     rows = [row if row[0].isprintable() else [_escaped(row[0]), *row[1:]]
             for row in rows]
-    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    widths = [min(max(map(len, column)), _PAD_MAX) for column in zip(headers, *rows)]
 
     for cells in (headers, *rows):
         yield "  ".join([cell.ljust(w) for cell, w in zip(cells, widths)]).rstrip()

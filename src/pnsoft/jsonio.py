@@ -48,9 +48,12 @@ def decimal_string(value) -> str:
     """Exact decimal rendering of a rational when one exists.
 
     Denominators made of twos and fives print exactly (4/5 -> "0.8");
-    anything else falls back to the float repr.
+    anything else falls back to the float repr. A float is read through
+    its shortest decimal, as as_unit reads it (0.7 -> "0.7"), and one that
+    is not finite raises ValueError.
     """
-    fr = value if isinstance(value, Fraction) else Fraction(value)
+    fr = value if isinstance(value, Fraction) else Fraction(
+        repr(value) if isinstance(value, float) else value)
     scale = _decimal_scale(fr._denominator)
     if scale is None:
         return repr(float(value))

@@ -58,12 +58,6 @@ class PossValue:
         return NeutrosophicTriple(self.truth, self.indeterminacy, self.falsity)
 
 
-def _public_state(self):
-    """`vars(self)` without the private `_` entries a set or a product keeps
-    for speed: pickles and copies leave them out, and readers rebuild them."""
-    return {k: v for k, v in vars(self).items() if not k.startswith("_")}
-
-
 @dataclass(frozen=True)
 class PnsSet:
     """Labeled matrix of PossValue, one row per parameter, one column per element.
@@ -128,15 +122,19 @@ class PnsSet:
         return cls(parameters=parameters, universe=universe, cells=tuple(matrix))
 
     def cell(self, parameter, element) -> PossValue:
-        i = self.parameters.index(parameter)
-        j = self.universe.index(element)
-        return self.cells[i][j]
+        try:
+            return self.cells[self.parameters.index(parameter)][self.universe.index(element)]
+        except ValueError:
+            raise ValueError(f"no cell ({_label(parameter)}, {_label(element)})") from None
 
     @property
     def shape(self):
         return (len(self.parameters), len(self.universe))
 
-    __getstate__ = _public_state
+    def __getstate__(self):
+        """`vars(self)` without the private `_` entries a set keeps for
+        speed: pickles and copies leave them out, and readers rebuild them."""
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
 
 def _texts(what, labels):
@@ -321,23 +319,18 @@ def complement(f: PnsSet) -> PnsSet:
 # ---------------------------------------------------------------------------
 # AND and OR products
 
-@dataclass(frozen=True)
-class ProductPnsSet:
-    """Result of a product: rows are (first parameter, second parameter) pairs.
+class ProductPnsSet(PnsSet):
+    """Result of `and_product` or `or_product`: a set whose parameters are
+    (first parameter, second parameter) pairs.
 
     Pair rows enumerate the Cartesian product in row major order, the first
-    operand's parameter being the outer index.
+    operand's parameter being the outer index. The inherited `from_rows`
+    makes text labels, not pairs.
     """
 
-    pairs: tuple  # of (label, label)
-    universe: tuple
-    cells: tuple
-
     @property
-    def shape(self):
-        return (len(self.pairs), len(self.universe))
-
-    __getstate__ = _public_state
+    def pairs(self) -> tuple:
+        return self.parameters
 
 
 #: A set's int view (see `_view`) exists only while its common
@@ -455,7 +448,7 @@ def _product(f, g, lower_truth):
                                   *map(_pick, lower, fr, gr, fi, gi))
                      for fr, fi in zip(map(_columns, f.cells), f_ints)
                      for gr, gi in zip(g_rows, g_ints))
-    return ProductPnsSet(pairs=pairs, universe=f.universe, cells=rows), ints
+    return ProductPnsSet(parameters=pairs, universe=f.universe, cells=rows), ints
 
 
 def _columns(row):

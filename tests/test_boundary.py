@@ -32,6 +32,7 @@ from pnsoft import (
     union,
 )
 from pnsoft.cli import main
+from pnsoft.errors import _plain
 
 from conftest import fixture
 
@@ -324,6 +325,16 @@ def test_an_int_label_too_long_to_print_is_named_by_its_list(what):
     assert exc.value.violations == [
         f"{what} list: cannot use an integer of more than "
         f"{sys.get_int_max_str_digits()} digits as a label"]
+
+
+def test_a_repr_that_fails_on_anything_but_an_int_is_not_described():
+    class Unprintable:
+        def __repr__(self):
+            raise ValueError("no repr")
+
+    with pytest.raises(ValueError, match="^no repr$"):
+        _plain(Unprintable())
+
 
 # ---------------------------------------------------------------------------
 # hostile input: fixture bytes with spliced-in trouble

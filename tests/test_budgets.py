@@ -77,9 +77,14 @@ SRC = str(Path(pnsoft.__file__).resolve().parents[1])
 FIELD_LIMIT = csv.field_size_limit()
 
 #: a JSON label, which has no field limit, twice the longest CSV field: a
-#: product label joins two, and a table pads each row of its column to it
-#: (a table `decide` writes 12 MB)
+#: product label joins two, and a table writes it on each line that holds
+#: it but pads no other line to it (a table `decide` writes 5.8 MB)
 LONG_LABEL = 2 * FIELD_LIMIT
+
+#: the most a table `decide` of the long-label pair may write. It wrote
+#: 5,768,238 bytes, 22 label lengths, about as much as its JSON; padding
+#: every line of a column to its widest label wrote 12,059,366
+LONG_LABEL_TABLE_BYTES = 6 * 2**20
 
 #: labels made of control characters: NUL, an escape sequence with a bell,
 #: a newline, a carriage return with a tab, DEL, and C1 NEL with a line
@@ -266,6 +271,12 @@ def test_a_hostile_input_ends_within_its_budget(corpus, args, timeout):
     done = run(corpus, args, timeout)
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout.endswith(b"\n")
+
+
+def test_a_long_label_does_not_pad_every_line_of_a_table(corpus):
+    done = run(corpus, ["decide", "longlabel_a.json", "longlabel_b.json"], PASS_TIMEOUT)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert len(done.stdout) <= LONG_LABEL_TABLE_BYTES
 
 
 @pytest.mark.parametrize("args, timeout", cases("past_a.csv", "past_b.csv", EVERY_COMMAND))

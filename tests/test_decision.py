@@ -238,7 +238,7 @@ def on_cells(fn, *args):
 
 
 def hand_built(p):
-    return ProductPnsSet(pairs=p.pairs, universe=p.universe, cells=p.cells)
+    return ProductPnsSet(parameters=p.pairs, universe=p.universe, cells=p.cells)
 
 
 class TestIntRows:

@@ -85,11 +85,19 @@ class TestDecimalString:
         (Fraction(12), "12"),
         (7, "7"),
         (Fraction(1001, 8), "125.125"),
-        # a float is its exact binary value
-        (0.1, "0.1000000000000000055511151231257827021181583404541015625"),
+        # a float is read through its shortest decimal, as as_unit reads it
+        (0.1, "0.1"),
+        (0.7, "0.7"),
+        (1e-07, "0.0000001"),
+        (0.1 + 0.2, "0.30000000000000004"),
     ])
     def test_exact_decimals(self, value, expect):
         assert decimal_string(value) == expect
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_a_float_that_is_not_finite_is_refused(self, value):
+        with pytest.raises(ValueError):
+            decimal_string(value)
 
     def test_non_decimal_falls_back_to_float_repr(self):
         assert decimal_string(Fraction(1, 3)) == "0.3333333333333333"

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,15 @@ from pnsoft import (
     NeutrosophicTriple,
     PnsSet,
     PossValue,
+    ProductPnsSet,
     and_product,
     complement,
     equals,
     intersection,
+    is_subset,
     null_set,
     or_product,
+    similarity,
     to_pns_set,
     triple_leq,
     union,
@@ -152,6 +156,62 @@ class TestFlattening:
         b = null_set(["e1"], ["u2"])
         with pytest.raises(IncompatibleError, match="shared universe"):
             and_product(a, b)
+
+
+class TestAProductIsASet:
+    """A product is a PnsSet whose parameters are its (label, label) pairs."""
+
+    def test_products_are_sets_whose_pairs_are_their_parameters(self, houses):
+        f, g = houses
+        pairs = tuple((a, b) for a in f.parameters for b in g.parameters)
+        for product in (and_product, or_product):
+            h = product(f, g)
+            assert isinstance(h, PnsSet) and type(h) is ProductPnsSet
+            assert h.pairs is h.parameters and h.parameters == pairs
+            assert h.shape == (9, 3)
+            with pytest.raises(AttributeError):
+                h.pairs = pairs
+
+    def test_the_field_is_named_parameters(self, houses):
+        h = and_product(*houses)
+        assert [field.name for field in dataclasses.fields(h)] == [
+            "parameters", "universe", "cells"]
+        assert dataclasses.asdict(h)["parameters"] == h.pairs
+        assert repr(h).startswith("ProductPnsSet(parameters=(('e1', 'e1'), ")
+
+    def test_a_cell_is_the_one_the_flattening_puts_under_the_joined_label(self, houses):
+        f, g = houses
+        for product in (and_product, or_product):
+            h = product(f, g)
+            flat = to_pns_set(h)
+            for a, b in h.pairs:
+                for u in h.universe:
+                    assert h.cell((a, b), u) is flat.cell(f"{a}*{b}", u)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_similarity_and_equals_agree_with_the_flattenings(self, houses, p):
+        f, g = houses   # over the same labels, so all three products share their pairs
+        products = (and_product(f, g), or_product(f, g), and_product(g, f))
+        for x in products:
+            for y in products:
+                flat_x, flat_y = to_pns_set(x), to_pns_set(y)
+                got = similarity(x, y, p=p)
+                assert got.parameters == x.pairs
+                assert (dataclasses.replace(got, parameters=flat_x.parameters)
+                        == similarity(flat_x, flat_y, p=p))
+                assert equals(x, y) == equals(flat_x, flat_y)
+                assert is_subset(x, y) == is_subset(flat_x, flat_y)
+        low, high = products[:2]
+        assert equals(low, low) and not equals(low, high) and is_subset(low, high)
+        assert equals(union(low, high), high) and equals(intersection(low, high), low)
+
+    def test_a_hand_built_product_equals_the_computed_one(self, houses):
+        f, g = houses
+        pairs = tuple((a, b) for a in f.parameters for b in g.parameters)
+        for product in (and_product, or_product):
+            h = product(f, g)
+            built = ProductPnsSet(parameters=pairs, universe=f.universe, cells=h.cells)
+            assert built == h and hash(built) == hash(h)
 
 
 def degrees(cell):

@@ -95,6 +95,29 @@ class TestConstruction:
             null_set([], ["u1"])
 
 
+class TestCellLookup:
+    def test_a_missing_cell_is_named_by_its_coordinates(self, cars):
+        f, _ = cars
+        with pytest.raises(ValueError, match=r"^no cell \(e9, u1\)$"):
+            f.cell("e9", "u1")
+        with pytest.raises(ValueError, match=r"^no cell \(e1, u9\)$"):
+            f.cell("e1", "u9")
+
+    def test_a_long_or_control_label_stays_bounded_in_the_message(self, cars):
+        f, _ = cars
+        with pytest.raises(ValueError) as exc:
+            f.cell("e" * 10**6, "\n\x1b")
+        assert str(exc.value) == "no cell (%s..., \\n\\x1b)" % ("e" * 37)
+
+    def test_a_product_inherits_the_lookup(self, cars):
+        h = and_product(*cars)
+        assert h.cell(("e2", "e3"), "u1") is h.cells[5][0]
+        with pytest.raises(ValueError, match=r"^no cell \(\('e9', 'e1'\), u1\)$"):
+            h.cell(("e9", "e1"), "u1")
+        with pytest.raises(ValueError, match=r"^no cell \(e1\*e1, u1\)$"):
+            h.cell("e1*e1", "u1")
+
+
 class TestSlottedCells:
     """Cells are slotted and flat: four degrees, no per-instance dict and no
     nested triple; copies still work."""
