@@ -24,8 +24,8 @@ class DecisionReport:
     """Everything the pipeline computed, kept for auditability.
 
     Each weighted matrix is a tuple of rows of Fractions indexed like
-    `product.cells`: one row per pair in `product.pairs`, one entry per
-    element of `universe`.
+    `product.cells`: one row per pair in `product.parameters`, one entry
+    per element of `universe`.
     """
 
     universe: tuple

@@ -56,7 +56,7 @@ def decimal_string(value) -> str:
         repr(value) if isinstance(value, float) else value)
     scale = _decimal_scale(fr._denominator)
     if scale is None:
-        return repr(float(value))
+        return repr(float(fr))
     numerator = fr._numerator
     sign = "-" if numerator < 0 else ""
     magnitude = abs(numerator) * (10 ** scale // fr._denominator)
@@ -124,9 +124,9 @@ def _memoized(number):
 
 
 _CELL = '{"t": %s, "i": %s, "f": %s, "mu": %s}'
-_CONSTANTS = {True: "true", False: "false", None: "null"}
 _CONTAINERS = frozenset({list, tuple, dict, PnsSet})
 _NUMBERS = frozenset({Fraction, float})
+_SCALARS = {str: _quote, int: str, bool: json.dumps, type(None): json.dumps}
 
 
 def _rows(s: PnsSet, number):
@@ -138,20 +138,12 @@ def _rows(s: PnsSet, number):
             for c in row])
 
 
-def _text(obj, number):
-    """The whole JSON text of `obj`, one part (see `_chunks`)."""
-    kind = type(obj)
-    if kind is Fraction or kind is float:
-        return number(obj)
-    if kind is str:
-        return _quote(obj)
-    if kind in _CONTAINERS:
-        return "".join(_chunks(obj, number))
-    if kind is int:
-        return str(obj)
-    if kind is bool or obj is None:
-        return _CONSTANTS[obj]
-    raise TypeError(f"cannot render {kind.__name__} as JSON")
+def _labels(labels) -> str:
+    """A set's labels as a JSON array of strings; any other label raises
+    TypeError, so that no writer makes a document `loads_pns` refuses."""
+    if not {str}.issuperset(map(type, labels)):
+        raise TypeError("only str labels render as JSON; flatten pairs with to_pns_set")
+    return "[%s]" % ", ".join(map(_quote, labels))
 
 
 def _chunks(obj, number):
@@ -169,8 +161,8 @@ def _chunks(obj, number):
     Dispatch is on the exact type: bool and None are constants, any other
     type raises TypeError. Whether a list is flat is read off its first
     item; a container further on is rendered inside the list's part.
-    `_text` and `_chunks` are module functions that pass `number` along,
-    so a render leaves no reference cycle for the collector to free.
+    `_chunks` is a module function that passes `number` along, so a
+    render leaves no reference cycle for the collector to free.
     """
     kind = type(obj)
     if kind is list or kind is tuple:
@@ -180,7 +172,7 @@ def _chunks(obj, number):
             if _NUMBERS.issuperset(map(type, obj)):
                 yield "[%s]" % ", ".join(map(number, obj))
             else:
-                yield "[%s]" % ", ".join(map(_text, obj, repeat(number)))
+                yield "[%s]" % ", ".join(map("".join, map(_chunks, obj, repeat(number))))
             return
         yield "["
         for n, item in enumerate(obj):
@@ -196,27 +188,32 @@ def _chunks(obj, number):
         yield "}"
     elif kind is PnsSet:
         yield '{"parameters": %s, "universe": %s, "cells": [' % (
-            _text(obj.parameters, number), _text(obj.universe, number))
+            _labels(obj.parameters), _labels(obj.universe))
         for n, row in enumerate(_rows(obj, number)):
             if n:
                 yield ", "
             yield row
         yield "]}"
+    elif kind is Fraction or kind is float:
+        yield number(obj)
+    elif (text := _SCALARS.get(kind)) is not None:
+        yield text(obj)
     else:
-        yield _text(obj, number)
+        raise TypeError(f"cannot render {kind.__name__} as JSON")
 
 
 def dumps_pns(s: PnsSet) -> str:
     """Serialize a set with every number as an exact decimal where one exists.
 
     One line per label list and per matrix row, so diffs stay readable.
+    Labels must be strings: save a product through `to_pns_set`.
     """
     number = _memoized(decimal_string)
     last = len(s.cells) - 1
     return "\n".join([
         "{",
-        '  "parameters": ' + "".join(_chunks(s.parameters, number)) + ",",
-        '  "universe": ' + "".join(_chunks(s.universe, number)) + ",",
+        '  "parameters": ' + _labels(s.parameters) + ",",
+        '  "universe": ' + _labels(s.universe) + ",",
         '  "cells": [',
         *("    " + row + ("," if r < last else "")
           for r, row in enumerate(_rows(s, number))),

@@ -475,9 +475,12 @@ def or_product(f: PnsSet, g: PnsSet) -> ProductPnsSet:
     return _product(f, g, lower_truth=False)[0]
 
 
-def to_pns_set(p: ProductPnsSet, separator: str = "*") -> PnsSet:
-    """Flatten pair labels so a product can be saved or fed back in."""
-    labels = tuple(f"{a}{separator}{b}" for a, b in p.pairs)
+def to_pns_set(p: PnsSet, separator: str = "*") -> PnsSet:
+    """Flatten pair labels so a set over pairs can be saved or fed back in."""
+    bad = [x for x in p.parameters if type(x) is not tuple or len(x) != 2]
+    if bad:
+        raise IncompatibleError(f"parameter {_label(bad[0])} is not a (first, second) pair")
+    labels = tuple(f"{a}{separator}{b}" for a, b in p.parameters)
     if len(set(labels)) != len(labels):
         raise IncompatibleError(
             f"separator {_plain(separator)} does not keep pair labels distinct")

@@ -1,9 +1,14 @@
-"""The public names of the package, pinned.
+"""The public names of the package, and the private names its modules
+take from each other, pinned.
 
 Adding a name to `pnsoft`, or taking one away, changes what users may
-rely on. This list makes such a change show up in review.
+rely on. A module that reaches into a sibling's private names ties the
+two together, where each decision should live behind one module. These
+lists make either change show up in review.
 """
 
+import ast
+from pathlib import Path
 from types import ModuleType
 
 import pnsoft
@@ -28,3 +33,29 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(pnsoft).items()
                    if not name.startswith("_") and not isinstance(value, ModuleType))
     assert names == PUBLIC
+
+
+#: (importing module, sibling module, its private names), one per import line
+PRIVATE_IMPORTS = [
+    ("algebra", "errors", ["_listed", "_plain"]),
+    ("cli", "errors", ["_cut", "_escaped", "_plain"]),
+    ("cli", "jsonio", ["_chunks", "_decimal_scale", "_memoized"]),
+    ("decision", "algebra", ["_Memo"]),
+    ("decision", "sets", ["_pick"]),
+    ("jsonio", "algebra", ["_Memo"]),
+    ("jsonio", "errors", ["_escaped", "_label", "_listed", "_plain"]),
+    ("sets", "errors", ["_label", "_listed", "_plain"]),
+    ("similarity", "errors", ["_plain"]),
+    ("similarity", "sets", ["_MU", "_PHI3", "_joint", "_require_same_labels"]),
+]
+
+
+def test_private_names_taken_from_sibling_modules_are_pinned():
+    found = []
+    for path in sorted(Path(pnsoft.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [alias.name for alias in node.names if alias.name.startswith("_")]
+                if names:
+                    found.append((path.stem, node.module, names))
+    assert sorted(found) == PRIVATE_IMPORTS

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from pnsoft import (
     PnsSet,
     SchemaError,
+    and_product,
     decimal_string,
     equals,
     from_document,
@@ -16,9 +17,12 @@ from pnsoft import (
     load_pns,
     loads_csv,
     loads_pns,
+    or_product,
     save_pns,
+    to_pns_set,
+    union,
 )
-from pnsoft.jsonio import _chunks, _decimal_scale, _text, dumps_pns
+from pnsoft.jsonio import _chunks, _decimal_scale, dumps_pns
 
 from conftest import FIXTURES, load_fixture
 
@@ -106,6 +110,11 @@ class TestDecimalString:
         assert decimal_string(Fraction(-2, 7)) == "-0.2857142857142857"
         assert decimal_string(Fraction(22, 7)) == "3.142857142857143"
 
+    def test_a_string_without_a_finite_decimal_falls_back_like_its_fraction(self):
+        # the fallback reads the parsed value, not the argument as given
+        assert decimal_string("1/3") == "0.3333333333333333"
+        assert decimal_string("0.7") == decimal_string(0.7) == "0.7"
+
     def test_more_denominators_than_the_cache_holds(self):
         size = _decimal_scale.cache_info().maxsize
         denominators = [2**a * 5**b for a in range(40) for b in range(40)]
@@ -146,7 +155,10 @@ class TestJsonRoundTrip:
         [Fraction(1, 3), 1, Fraction(0)],
         (Fraction(1, 2), "u1", True, None, 0.5),
         (0.125,),
-    ], ids=["numbers", "an-int", "labels-and-constants", "one-float"])
+        ("u1", {"k": Fraction(1, 4)}, None),
+        [{"k": Fraction(1, 2), "v": [0.5, "u1"]}, {}],
+    ], ids=["numbers", "an-int", "labels-and-constants", "one-float",
+            "a-container-further-on", "dicts"])
     def test_a_flat_row_renders_each_item_as_on_its_own(self, row):
         calls = []
 
@@ -154,9 +166,12 @@ class TestJsonRoundTrip:
             calls.append(x)
             return decimal_string(x)
 
-        expected = "[%s]" % ", ".join(_text(x, decimal_string) for x in row)
+        expected = "[%s]" % ", ".join("".join(_chunks(x, number)) for x in row)
+        alone, calls[:] = calls[:], []
         assert "".join(_chunks(row, number)) == expected
-        assert calls == [x for x in row if type(x) in (Fraction, float)]
+        assert calls == alone   # each number formatted once, in order
+        if not {dict, list}.intersection(map(type, row)):
+            assert calls == [x for x in row if type(x) in (Fraction, float)]
 
     def test_serialization_is_deterministic(self):
         s = load_fixture("cars_assessment_b.json")
@@ -176,6 +191,40 @@ class TestJsonRoundTrip:
         for path in paths:
             doc = json.loads(path.read_text(), parse_float=Fraction)
             assert from_document(doc) == load_pns(path), path.name
+
+
+PAIR_SETS = {
+    "and": and_product,
+    "or": or_product,
+    "union": lambda f, g: union(and_product(f, g), or_product(f, g)),
+}
+
+
+@pytest.mark.parametrize("build", PAIR_SETS.values(), ids=PAIR_SETS.keys())
+class TestSetsOverPairs:
+    """Both JSON writers take text labels only: a set over parameter pairs
+    is saved through `to_pns_set`, never as a document `loads_pns` refuses."""
+
+    @pytest.fixture
+    def pair_set(self, build):
+        return build(load_fixture("houses_expert_a.json"), load_fixture("houses_expert_b.json"))
+
+    def test_dumps_refuses_pair_labels_and_names_the_flattening(self, pair_set, tmp_path):
+        with pytest.raises(TypeError, match="to_pns_set"):
+            dumps_pns(pair_set)
+        with pytest.raises(TypeError, match="to_pns_set"):
+            save_pns(pair_set, tmp_path / "p.json")
+        assert not (tmp_path / "p.json").exists()
+
+    def test_the_walker_refuses_pair_labels_too(self, pair_set):
+        plain = PnsSet(parameters=pair_set.parameters, universe=pair_set.universe,
+                       cells=pair_set.cells)
+        with pytest.raises(TypeError, match="to_pns_set"):
+            "".join(_chunks(plain, decimal_string))
+
+    def test_the_flattening_round_trips(self, pair_set):
+        flat = to_pns_set(pair_set)
+        assert loads_pns(dumps_pns(flat)) == flat
 
 
 class TestJsonErrors:

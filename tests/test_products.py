@@ -151,6 +151,17 @@ class TestFlattening:
             to_pns_set(and_product(a, b))
         to_pns_set(and_product(a, b), separator="|")
 
+    def test_a_set_operator_result_over_pairs_flattens(self, houses):
+        f, g = houses
+        low, high = and_product(f, g), or_product(f, g)
+        flat = to_pns_set(union(low, high))
+        assert type(flat) is PnsSet and flat == union(to_pns_set(low), to_pns_set(high))
+
+    def test_text_labels_are_not_pairs(self, houses):
+        # "e1" has two characters: without the check it would unpack into "e*1"
+        with pytest.raises(IncompatibleError, match=r"parameter e1 is not a \(first, second\) pair"):
+            to_pns_set(houses[0])
+
     def test_universe_mismatch_refused(self):
         a = null_set(["e1"], ["u1"])
         b = null_set(["e1"], ["u2"])
