@@ -30,19 +30,9 @@ from .similarity import MAX_ORDER, select_by_similarity, similarity
 # rendering
 
 def _six_decimals(x) -> str:
-    """`"%.6f" % float(x)`, from ints for a Fraction in [0, 1] whose
-    denominator divides 10**6.
-
-    Such a value is k/10**6, and its double lies within 2**-53 of it, far
-    from a rounding boundary of the sixth decimal, so both texts agree.
-    """
-    try:
-        n, d = x._numerator, x._denominator
-    except AttributeError:
-        return "%.6f" % float(x)
-    if 0 <= n <= d and not 1_000_000 % d:
-        return "%d.%06d" % divmod(n * (1_000_000 // d), 1_000_000)
-    return "%.6f" % float(x)
+    """`"%.6f" % float(x)`. A Fraction's float is its int slots divided:
+    int true division rounds correctly, as float() of a Fraction does."""
+    return "%.6f" % (x._numerator / x._denominator if type(x) is Fraction else x)
 
 
 def _num(x) -> str:
@@ -55,18 +45,19 @@ def _num(x) -> str:
             text = decimal_string(x)
             if len(text) <= 8:
                 return text
-    return "%.4f" % float(x)
+        x = x._numerator / d
+    return "%.4f" % x
 
 
 def _by_identity(number):
     """`number` with each object rendered once. Make one per output.
 
-    The render memo of `decide`, whose output repeats objects rather than
-    values: equal weighted entries share one Fraction, and product cells
-    reuse their operands' degrees, so few objects hold the same value and
-    no value memo is put behind this one. The memo keeps a reference to
-    every object it has seen, so no id is reused while it lives; the
-    report it renders holds those objects anyway.
+    The render memo of `decide` and the products, whose outputs repeat
+    objects rather than values: product cells reuse their operands'
+    degrees, and equal weighted entries share one Fraction, so few objects
+    hold the same value and no value memo is put behind this one. The memo
+    keeps a reference to every object it has seen, so no id is reused
+    while it lives; the output it renders holds those objects anyway.
     """
     texts, seen = {}, []
 
@@ -248,7 +239,7 @@ def _cmd_product(args) -> int:
     """and-product or or-product, whichever the subcommand bound to args.product."""
     product = args.product(load_any(args.first), load_any(args.second))
     s = to_pns_set(product, args.separator)
-    _emit(args, s, partial(_set_table, s))
+    _emit(args, s, partial(_set_table, s), memo=_by_identity)
     return 0
 
 

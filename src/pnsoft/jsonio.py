@@ -56,7 +56,7 @@ def decimal_string(value) -> str:
         repr(value) if isinstance(value, float) else value)
     scale = _decimal_scale(fr._denominator)
     if scale is None:
-        return repr(float(fr))
+        return repr(fr._numerator / fr._denominator)
     numerator = fr._numerator
     sign = "-" if numerator < 0 else ""
     magnitude = abs(numerator) * (10 ** scale // fr._denominator)

@@ -300,16 +300,21 @@ def csv_text(s):
     return "\n".join(lines) + "\n"
 
 
-@pytest.fixture
-def seeded_pair(tmp_path):
-    rng = random.Random(20141)
-    pair = [two_decimal_set(rng, 4, 12) for _ in range(2)]
+def written(tmp_path, pair, stem):
+    """`pair`, two documents, and the paths of the JSON files they were
+    written to."""
     paths = []
     for k, s in enumerate(pair):
-        path = tmp_path / f"pair_{k}.json"
+        path = tmp_path / f"{stem}_{k}.json"
         path.write_text(number_text(s))
         paths.append(str(path))
     return pair, paths
+
+
+@pytest.fixture
+def seeded_pair(tmp_path):
+    rng = random.Random(20141)
+    return written(tmp_path, [two_decimal_set(rng, 4, 12) for _ in range(2)], "pair")
 
 
 def counting(monkeypatch, module, name, key):
@@ -328,16 +333,27 @@ def exact(x):
     return (type(x).__name__, x.numerator, x.denominator)
 
 
+@pytest.fixture
+def six_decimal_pair(tmp_path):
+    """Two 4x1100 six-decimal sets: more distinct values than a value memo
+    holds, so past its cap a value memo formats a number each time it
+    occurs."""
+    rng = random.Random(1100)
+    return written(tmp_path, [decimal_set(rng, 4, 1100, 6) for _ in range(2)], "six")
+
+
 @pytest.mark.parametrize("fmt,formatter", [("table", "_num"),
                                            ("json", "_six_decimals")])
-def test_decide_formats_each_object_once(seeded_pair, monkeypatch,
-                                         fmt, formatter):
+@pytest.mark.parametrize("command", ["decide", "and-product", "or-product"])
+@pytest.mark.parametrize("pair", ["seeded_pair", "six_decimal_pair"])
+def test_decide_and_products_format_each_object_once(request, monkeypatch, pair,
+                                                     command, fmt, formatter):
     # the identity memo holds every object it formats, so no id recurs
-    _, paths = seeded_pair
+    _, paths = request.getfixturevalue(pair)
     calls = counting(monkeypatch, pnsoft.cli, formatter, id)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["decide", *paths, "--format", fmt]) == 0
-    assert len(calls) > 100  # product values, matrix entries and scores
+        assert main([command, *paths, "--format", fmt]) == 0
+    assert len(calls) > 50  # the product's degrees, and decide's entries and scores
     assert max(calls.values()) == 1, calls.most_common(3)
 
 
@@ -381,8 +397,9 @@ def test_dumps_formats_each_distinct_value_once(seeded_pair, monkeypatch,
 
 def refusing_float(monkeypatch):
     def refuse(x):
-        raise AssertionError(f"float({x!r}) on the integer path")
-    monkeypatch.setattr(pnsoft.cli, "float", refuse, raising=False)
+        raise AssertionError(f"float({x!r}) in a renderer")
+    for module in (pnsoft.cli, pnsoft.jsonio):
+        monkeypatch.setattr(module, "float", refuse, raising=False)
 
 
 def counting_float(monkeypatch):
@@ -428,10 +445,31 @@ def test_six_decimals_from_ints_match_the_float_text(monkeypatch, sample):
     0, 1, 7, 10**20 + 1, 0.5, 1 / 3,
 ], ids=repr)
 def test_other_numbers_take_the_float_path(monkeypatch, x):
+    # the text of the double, and a Fraction's double from its int slots
     want = "%.6f" % float(x)
     calls = counting_float(monkeypatch)
     assert _six_decimals(x) == want
-    assert calls == [x]
+    assert not [c for c in calls if isinstance(c, Fraction)]
+
+
+def test_renderers_divide_a_fractions_ints_without_float(monkeypatch):
+    tiny = Fraction(1, 10**100000)
+    values = [*divisor_sample(), Fraction(1, 3), Fraction(1, 2**61 - 1),
+              Fraction(2, 3), Fraction(10**6 + 1, 10**6), Fraction(-5, 4),
+              tiny, 1 - tiny, Fraction(7, 10**20000), Fraction(1, 3 * 10**100000),
+              Fraction(-1, 3 * 10**100000), Fraction(1, 10) + Fraction(1, 3 * 10**20)]
+    rng = random.Random(12)
+    values += [Fraction(rng.randint(0, 10**12), 10**12) for _ in range(1000)]
+    values += [Fraction(rng.randint(-10**7, 10**7), rng.randint(1, 10**6))
+               for _ in range(1000)]
+    values += [-x for x in values[::7]] + [x + 1 for x in values[::11]]
+
+    def decimal_text(x):  # exact, else the repr of the double
+        exact = pnsoft.jsonio._decimal_scale(x.denominator) is not None
+        return decimal_string(x) if exact else repr(float(x))
+    want = [("%.6f" % float(x), longhand_num(x), decimal_text(x)) for x in values]
+    refusing_float(monkeypatch)
+    assert [(_six_decimals(x), _num(x), decimal_string(x)) for x in values] == want
 
 
 def decimal_set(rng, n_params, n_elems, decimals):
