@@ -350,41 +350,33 @@ def _view(s: PnsSet):
     """The int view of a set, (L, rows), or None past the guard. L is the
     lcm of every denominator of the set; each row is five int lists over
     L, the t, i, f and mu numerators of its cells and their sums
-    t + i + f. Kept in the immutable set's instance dict, so a set is
-    read once."""
+    t + i + f. The cells are read row by row, and the first row that
+    takes L past the guard ends the reading, so a set over primes costs a
+    row. Kept in the immutable set's instance dict, so a set is read
+    once."""
     try:
         return s.__dict__["_view"]
     except KeyError:
-        view = s.__dict__["_view"] = _read_view(s.cells)
-        return view
-
-
-def _read_view(cells):
-    """`_view`'s value, read in flat passes over runs of 1, 2, 4, ... rows:
-    a run past the guard ends the reading, so a set over primes costs a
-    row or two, and a decimal set a handful of passes."""
-    den, distinct, degrees, denominators = 1, set(), [], []
-    start = 0
-    while start < len(cells):
-        stop = 2 * start + 1
-        run = list(chain.from_iterable(map(_degrees, chain.from_iterable(cells[start:stop]))))
-        run_denominators = list(map(_denominator, run))
-        for d in set(run_denominators) - distinct:
+        pass
+    den, distinct, read = 1, set(), []
+    for row in s.cells:
+        degrees = list(chain.from_iterable(map(_degrees, row)))
+        denominators = list(map(_denominator, degrees))
+        for d in set(denominators) - distinct:
             den = lcm(den, d)
             if den.bit_length() > _ROW_BITS:  # on primes, from the second one on
+                s.__dict__["_view"] = None
                 return None
             distinct.add(d)
-        degrees += run
-        denominators += run_denominators
-        start = stop
+        read.append((degrees, denominators))
     scale = {d: den // d for d in distinct}.__getitem__
-    ints = list(map(mul, map(_numerator, degrees), map(scale, denominators)))
-    rows, end = [], 0
-    for row in cells:
-        start, end = end, end + 4 * len(row)
-        t, i, f = ints[start:end:4], ints[start + 1:end:4], ints[start + 2:end:4]
-        rows.append((t, i, f, ints[start + 3:end:4], list(map(add, map(add, t, i), f))))
-    return den, rows
+    rows = []
+    for degrees, denominators in read:
+        ints = list(map(mul, map(_numerator, degrees), map(scale, denominators)))
+        t, i, f = ints[::4], ints[1::4], ints[2::4]
+        rows.append((t, i, f, ints[3::4], list(map(add, map(add, t, i), f))))
+    view = s.__dict__["_view"] = den, rows
+    return view
 
 
 #: positions in a view's row of the mu numerators and of 3 phi (t + i + f)

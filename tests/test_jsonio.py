@@ -443,6 +443,13 @@ class TestExponentLimit:
         assert time.perf_counter() - start < 1
         assert len(str(exc.value)) < 120
 
+    @pytest.mark.parametrize("literal", HUGE_EXPONENTS)
+    def test_decimal_string(self, literal):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"exponent out of range"):
+            decimal_string(literal)
+        assert time.perf_counter() - start < 1
+
     def test_limit_itself_loads(self):
         s = loads_csv("parameter,element,t,i,f,mu\na,x,1e-100000,0,0,0\n")
         assert s.cell("a", "x").triple.truth == Fraction(1, 10**100000)

@@ -340,13 +340,16 @@ class TestRowForms:
             similarity(s, s, p=1)
         assert [has_view(s) for s in (primes, decimals, scattered)] == [False, True, False]
 
-    def test_reading_stops_at_the_first_row_past_the_guard(self):
+    @pytest.mark.parametrize("prime_row", [0, 1, 3, 9])
+    def test_reading_stops_at_the_first_row_past_the_guard(self, prime_row):
+        # decimal rows, then one row over primes, then rows that must not be read
         class Unread:
             def __getattr__(self, name):
-                raise AssertionError(f"a cell after the first row was read: {name}")
-        primes = kinds_set(random.Random("early"), ["primes"], 100)
-        rows = primes.cells + ((Unread(),) * 100,) * 9
-        s = PnsSet(tuple(f"e{k}" for k in range(10)), primes.universe, rows)
+                raise AssertionError(f"a cell after row {prime_row} was read: {name}")
+        kinds = ["two and six decimals"] * prime_row + ["primes"]
+        read = kinds_set(random.Random(f"early/{prime_row}"), kinds, 100)
+        rows = read.cells + ((Unread(),) * 100,) * (9 - prime_row)
+        s = PnsSet(tuple(f"e{k}" for k in range(10)), read.universe, rows)
         assert sets_module._view(s) is None
 
 
@@ -518,15 +521,16 @@ class TestSelection:
                       for label, c in candidates] + [("odd", relabelled)]
         read = Counter()
 
-        def counted(cells, _read=sets_module._read_view):
-            read[id(cells)] += 1
-            return _read(cells)
-        monkeypatch.setattr(sets_module, "_read_view", counted)
+        def counted(cell, _read=sets_module._degrees):
+            read[id(cell)] += 1
+            return _read(cell)
+        monkeypatch.setattr(sets_module, "_degrees", counted)
         s = select_by_similarity(model, candidates)
         assert s.selected == ("applicant_4",)
         compared = [model] + [c for _, c in candidates[:-1]]
-        assert read == Counter(id(c.cells) for c in compared)
+        assert read == Counter(id(cell) for c in compared for row in c.cells for cell in row)
         assert all(map(has_view, compared))
+        assert "_view" not in relabelled.__dict__
         read.clear()
         assert select_by_similarity(model, candidates) == s
         assert read == Counter()
