@@ -14,7 +14,7 @@ from functools import partial
 from itertools import repeat
 from operator import add, mul, sub
 
-from .algebra import _Memo
+from .algebra import _Memo, _exact
 from .errors import IncompatibleError
 from .sets import PnsSet, ProductPnsSet, _pick, and_product
 
@@ -61,7 +61,7 @@ def weighted_matrices(p: ProductPnsSet):
     kept = vars(p).get("_int_operands")
     if kept is not None:
         den, f_rows, g_rows = kept
-        entry = _Memo(partial(Fraction, denominator=den * den)).__getitem__
+        entry = _Memo(partial(_exact, d=den * den)).__getitem__
         wt, wi, wf = [], [], []
         for ft, fi, ff, fm, _ in f_rows:
             for gt, gi, gf, gm, _ in g_rows:
@@ -82,17 +82,17 @@ def weighted_matrices(p: ProductPnsSet):
             key = (tn, td, mn, md)
             value = blended.get(key)
             if value is None:
-                value = blended[key] = Fraction(tn * md + mn * td - tn * mn, td * md)
+                value = blended[key] = _exact(tn * md + mn * td - tn * mn, td * md)
             rt.append(value)
             key = (in_, id_, mn, md)
             value = scaled.get(key)
             if value is None:
-                value = scaled[key] = Fraction(in_ * mn, id_ * md)
+                value = scaled[key] = _exact(in_ * mn, id_ * md)
             ri.append(value)
             key = (fn, fd, mn, md)
             value = scaled.get(key)
             if value is None:
-                value = scaled[key] = Fraction(fn * mn, fd * md)
+                value = scaled[key] = _exact(fn * mn, fd * md)
             rf.append(value)
         wt.append(tuple(rt))
         wi.append(tuple(ri))
@@ -140,7 +140,7 @@ def row_scores(rows) -> tuple:
             column = sums[j]
             column[under] = column.get(under, 0) + top
     zero = Fraction(0)   # shared by every column no row credits
-    return tuple(sum([Fraction(n, d) for d, n in column.items()], zero)
+    return tuple(sum([_exact(n, d) for d, n in column.items()], zero)
                  for column in sums)
 
 

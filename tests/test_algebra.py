@@ -1,5 +1,8 @@
 import itertools
+import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -12,8 +15,10 @@ from pnsoft import (
     TNORMS,
     ZERO,
     NeutrosophicTriple,
+    PnsSet,
     ProfileError,
     as_unit,
+    decide,
     load_pns,
     make_profile,
     n_conorm,
@@ -23,7 +28,9 @@ from pnsoft import (
 )
 from pnsoft.algebra import (
     DEFAULT_PROFILE,
+    _exact,
     negation_standard,
+    parse_decimal,
     tconorm_lukasiewicz,
     tconorm_max,
     tconorm_probsum,
@@ -292,6 +299,116 @@ class TestIntegerKernels:
             (y.truth, y.indeterminacy, y.falsity, y.mu) for row in c.cells for y in row]
 
 
+def assert_reduced(x):
+    """x is a plain Fraction whose slots are coprime over a positive
+    denominator, as Fraction(n, d) leaves them: == and hash read the slots
+    as they are, so an unreduced Fraction breaks both silently."""
+    assert type(x) is Fraction
+    n, d = x._numerator, x._denominator
+    assert type(n) is int and type(d) is int
+    assert d > 0 and gcd(n, d) == 1, (n, d)
+
+
+#: factors a numerator is multiplied by, so that it shares some with the
+#: denominator it is drawn over
+COMMON_FACTORS = (1, 2, 4, 5, 10**3, 2**7 * 5**3, *PRIMES_61)
+
+
+@st.composite
+def exact_ints(draw):
+    """(n, d): d one, six or twelve decimals or a 61-bit prime; n zero, or
+    in [-d, d] times a factor that it may share with d."""
+    d = draw(st.sampled_from([1, 10**6, 10**12, *PRIMES_61]))
+    k = draw(st.just(0) | st.integers(-d, d))
+    return k * draw(st.sampled_from(COMMON_FACTORS)), d
+
+
+def assert_is_the_fraction_of(n, d):
+    x, y = _exact(n, d), Fraction(n, d)
+    assert type(x) is Fraction
+    assert x == y and hash(x) == hash(y)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)   # repr of a 10**5-digit denominator
+    try:
+        assert repr(x) == repr(y)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert_reduced(x)
+
+
+class TestExact:
+    """`algebra._exact` builds a Fraction through its slots: it must be the
+    Fraction that Fraction(n, d) builds, and every result built through it
+    must have coprime slots over a positive denominator."""
+
+    @seed(20141)
+    @settings(max_examples=400, deadline=None)
+    @given(nd=exact_ints())
+    def test_is_the_fraction_of_its_ints(self, nd):
+        assert_is_the_fraction_of(*nd)
+
+    def test_every_kind_of_draw_is_made(self):
+        drawn = []
+
+        @seed(20141)
+        @settings(max_examples=400, database=None)
+        @given(nd=exact_ints())
+        def collect(nd):
+            drawn.append(nd)
+        collect()
+        assert any(n == 0 for n, _ in drawn)
+        assert any(n < 0 and d > 1 for n, d in drawn)
+        assert any(d == 1 and n for n, d in drawn)
+        for q in (10**6, 10**12, *PRIMES_61):   # some draws reduce, some do not
+            assert any(d == q and gcd(n, d) == 1 for n, d in drawn), q
+            assert any(d == q and n and gcd(n, d) > 1 for n, d in drawn), q
+
+    @pytest.mark.parametrize("n", [0, -(2**17 * 5**99_990 * 7), 3 * 10**99_999 + 1],
+                             ids=["zero", "negative-shared-factors", "coprime"])
+    def test_a_hundred_thousand_digit_power_of_ten(self, n):
+        assert_is_the_fraction_of(n, 10**100_000)
+
+    @seed(20141)
+    @settings(max_examples=300, deadline=None)
+    @given(st.from_regex(r"-?[0-9]{1,8}\.[0-9]{1,14}", fullmatch=True))
+    def test_parsed_decimals_are_reduced(self, literal):
+        value = parse_decimal(literal)
+        assert value == Fraction(literal)
+        assert_reduced(value)
+
+    @seed(20141)
+    @settings(max_examples=300, deadline=None)
+    @given(a=kernel_degrees, b=kernel_degrees)
+    def test_kernel_results_are_reduced(self, a, b):
+        for kernel in (tnorm_product, tconorm_probsum, tnorm_lukasiewicz,
+                       tconorm_lukasiewicz):
+            assert_reduced(kernel(a, b))
+        assert_reduced(negation_standard(a))
+
+    @pytest.mark.parametrize("denominators, kept", [
+        ((100, 10**6), True), ((2, *PRIMES_61), False),
+    ], ids=["decimals-int-rows", "primes-fallback"])
+    def test_weighted_entries_and_row_scores_are_reduced(self, denominators, kept):
+        rng = random.Random(f"exact/{denominators}")
+
+        def one_set():
+            return PnsSet.from_rows(
+                ["e1", "e2", "e3"], ["u1", "u2", "u3", "u4"],
+                [[tuple(Fraction(rng.randint(0, q), q)
+                        for q in (rng.choice(denominators) for _ in range(4)))
+                  for _ in range(4)] for _ in range(3)])
+        report = decide(one_set(), one_set())
+        assert ("_int_operands" in vars(report.product)) is kept
+        for matrix in (report.weighted_truth, report.weighted_indeterminacy,
+                       report.weighted_falsity):
+            for row in matrix:
+                for x in row:
+                    assert_reduced(x)
+        for x in (*report.truth_scores, *report.indeterminacy_scores,
+                  *report.falsity_scores):
+            assert_reduced(x)
+
+
 def tied_set(degrees):
     """A 2x3 set whose degrees are the next 24 of the literals `degrees`."""
     return pnsoft.sets.PnsSet.from_rows(
@@ -346,10 +463,13 @@ class TestMinMaxPick:
                             assert got is (x, y)[tie]
 
     def test_fraction_keeps_the_slots_the_picks_read(self):
-        assert {"_numerator", "_denominator"} <= set(Fraction.__slots__), (
+        # exactly these two: algebra._exact sets both, and would leave any
+        # slot added beside them unset
+        assert Fraction.__slots__ == ("_numerator", "_denominator"), (
             "the norm kernels, as_unit and the cell readers of decision, "
             "similarity and jsonio read Fraction._numerator and "
-            "_denominator; without them every load and every operator fails")
+            "_denominator, and algebra._exact builds Fractions by setting "
+            "them; without them every load and every operator fails")
 
     def test_picks_never_call_the_rich_comparisons(self, monkeypatch):
         degrees = itertools.cycle(TIED_DEGREES)

@@ -40,7 +40,7 @@ PRIVATE_IMPORTS = [
     ("algebra", "errors", ["_listed", "_plain"]),
     ("cli", "errors", ["_cut", "_escaped", "_plain"]),
     ("cli", "jsonio", ["_chunks", "_decimal_scale", "_memoized"]),
-    ("decision", "algebra", ["_Memo"]),
+    ("decision", "algebra", ["_Memo", "_exact"]),
     ("decision", "sets", ["_pick"]),
     ("jsonio", "algebra", ["_Memo"]),
     ("jsonio", "errors", ["_escaped", "_label", "_listed", "_plain"]),

@@ -19,7 +19,8 @@ from hypothesis import example, given, strategies as st
 
 import pnsoft.cli
 import pnsoft.jsonio
-from pnsoft import PnsSet, decimal_string, loads_csv, loads_pns
+from pnsoft import (PnsSet, complement, decimal_string, loads_csv, loads_pns,
+                    make_profile, union)
 from pnsoft.algebra import _Memo, parse_decimal
 from pnsoft.cli import _num, _six_decimals, main
 from pnsoft.jsonio import MEMO_CAP, _chunks, _memoized
@@ -355,6 +356,37 @@ def test_decide_and_products_format_each_object_once(request, monkeypatch, pair,
         assert main([command, *paths, "--format", fmt]) == 0
     assert len(calls) > 50  # the product's degrees, and decide's entries and scores
     assert max(calls.values()) == 1, calls.most_common(3)
+
+
+def test_six_decimal_loads_and_set_operators_skip_the_fraction_constructor(
+        monkeypatch):
+    # parse_decimal, the product/probsum kernels and negation_standard build
+    # their results through algebra._exact, never through Fraction.__new__
+    rng = random.Random(33)
+    docs = [decimal_set(rng, 3, 40, 6) for _ in range(2)]
+    made = collections.Counter()
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made[step] += 1
+        return real(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    step = "loads_pns"
+    f, g = (loads_pns(number_text(doc)) for doc in docs)
+    step = "union under product/probsum"
+    u = union(f, g, make_profile("product", "probsum"))
+    step = "complement"
+    c = complement(f)
+    step = "a Fraction(1, 3) under the same wrapper"
+    Fraction(1, 3)
+    assert made == {step: 1}, made
+    monkeypatch.undo()
+    # the steps did their work: six-decimal degrees, products and negations
+    a, b, x, y = f.cells[0][0], g.cells[0][0], u.cells[0][0], c.cells[0][0]
+    assert a.truth == Fraction(docs[0]["cells"][0][0]["t"])
+    assert x.truth == a.truth + b.truth - a.truth * b.truth
+    assert x.indeterminacy == a.indeterminacy * b.indeterminacy
+    assert (y.indeterminacy, y.mu) == (1 - a.indeterminacy, 1 - a.mu)
 
 
 @pytest.mark.parametrize("load", [
